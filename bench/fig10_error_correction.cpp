@@ -47,7 +47,7 @@ main()
         for (int noise : {0, 4, 8}) {
             cfg.noiseThreads = noise;
             const EccReport rep =
-                runEccTransmission(cfg, payload, {}, &cal);
+                runSession({cfg, LinkKind::ecc}, payload, &cal).ecc;
             rates.push_back(rep.effectiveKbps);
             retx.push_back(rep.retransmissions);
             residual += rep.residualErrors;

@@ -31,7 +31,8 @@ main()
               << "\n";
     {
         const SymbolReport rep =
-            runSymbolTransmission(cfg, example, {}, &cal);
+            runSession({cfg, LinkKind::symbols}, example, &cal)
+                .symbols;
         std::cout << "received:            "
                   << bitsToString(rep.received) << "\n";
         std::cout << "symbols sent:        ";
@@ -64,9 +65,10 @@ main()
         cfg.params.pollInterval = std::clamp<Tick>(ts / 4, 30, 100);
         cfg.timeout = cfg.deriveTimeout(payload.size());
         const ChannelReport bin =
-            runVectorTransmission(cfg, payload, &cal);
+            runSession(cfg, payload, &cal).channel;
         const SymbolReport sym =
-            runSymbolTransmission(cfg, payload, {}, &cal);
+            runSession({cfg, LinkKind::symbols}, payload, &cal)
+                .symbols;
         if (bin.metrics.accuracy >= 0.9)
             binary_peak = std::max(binary_peak,
                                    bin.metrics.rawKbps);

@@ -72,10 +72,10 @@ main(int argc, char **argv)
         jobs.push_back([&base, &cal, pairs] {
             ExperimentSpec point = base;
             point.fleet.pairs = pairs;
-            // runFleet directly (not the runExperiment dispatcher):
-            // the pairs=1 baseline must still go through the fleet
-            // orchestrator to report the same FleetReport shape.
-            return runFleet(point.toFleetConfig(), &cal);
+            // A fleet session directly (not runExperiment, which
+            // runs fleet.pairs = 1 as a single pair): the pairs=1
+            // baseline must report the same FleetReport shape.
+            return runSession(point.toFleetSession(), {}, &cal).fleet;
         });
     }
 

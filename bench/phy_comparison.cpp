@@ -79,12 +79,12 @@ runPoint(const ExperimentSpec &base, const CalibrationResult &cal,
 
     PointResult r;
     if (profile == PhyProfile::legacyParity) {
-        // The parity+NACK session is its own driver (an ECC
-        // experiment, not a transmit dispatch); it keeps the raw
-        // config entry point.
-        const ChannelConfig cfg = point.toChannelConfig();
-        const EccReport rep =
-            runEccTransmission(cfg, payload, {}, &cal);
+        // The parity+NACK scheme is the session's ecc link, which
+        // no spec selects; it takes the raw-config entry point.
+        const EccReport rep = runSession({point.toChannelConfig(),
+                                          LinkKind::ecc},
+                                         payload, &cal)
+                                  .ecc;
         r.effectiveKbps = rep.effectiveKbps;
         r.payloadKbps = rep.payloadKbps;
         r.residualErrors = rep.residualErrors;

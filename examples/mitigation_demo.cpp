@@ -23,7 +23,7 @@ attack(bool mitigated)
     cfg.system.timing.llcNotifiedOfUpgrade = mitigated;
     cfg.timeout = 300'000'000;
     Rng rng(1);
-    return runCovertTransmission(cfg, randomBits(rng, 64));
+    return runSession(cfg, randomBits(rng, 64)).channel;
 }
 
 } // namespace

@@ -27,7 +27,8 @@ main()
               << " 11=" << comboName(symbolCombo(3)) << "\n\n";
 
     const SymbolReport rep =
-        runSymbolTransmission(cfg, textToBits(secret));
+        runSession({cfg, LinkKind::symbols}, textToBits(secret))
+            .symbols;
 
     std::cout << "sent symbols:     ";
     for (int s : rep.sentSymbols)

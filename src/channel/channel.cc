@@ -1,10 +1,7 @@
 #include "channel/channel.hh"
 
-#include "channel/vector.hh"
 #include "common/logging.hh"
-#include "detect/cchunter.hh"
 #include "os/kernel.hh"
-#include "phy/phy_channel.hh"
 
 namespace csim
 {
@@ -73,8 +70,11 @@ CorePlan::standard(const SystemConfig &sys)
     return plan;
 }
 
-void
-ExperimentRig::initProcesses()
+ExperimentRig::ExperimentRig(Machine &host, const ChannelConfig &cfg,
+                             const CorePlan &pair_plan, Combo csc,
+                             std::uint32_t pair_id,
+                             std::uint64_t pattern_seed)
+    : machine(host), plan(pair_plan), pairId(pair_id)
 {
     // Pair-suffixed process names keep `ps`-style listings readable
     // when one machine hosts dozens of adversary pairs.
@@ -82,12 +82,7 @@ ExperimentRig::initProcesses()
         pairId == 0 ? std::string() : msgCat(".p", pairId);
     trojanProc = &machine.kernel.createProcess("trojan" + suffix);
     spyProc = &machine.kernel.createProcess("spy" + suffix);
-}
 
-void
-ExperimentRig::initShared(const ChannelConfig &cfg, Combo csc,
-                          std::uint64_t pattern_seed)
-{
     // The vector decides what "shared state" means: the page-fault
     // channel needs no shared mapping at all (its plugin creates two
     // private mergeable pages), the dirty-state channel needs a
@@ -130,8 +125,8 @@ ExperimentRig::initShared(const ChannelConfig &cfg, Combo csc,
 }
 
 void
-ExperimentRig::initCrew(const ChannelConfig &cfg, int n_local,
-                        int n_remote)
+ExperimentRig::spawnCrew(const ChannelConfig &cfg, int n_local,
+                         int n_remote)
 {
     const std::vector<CoreId> local_cores(
         plan.localLoaders.begin(),
@@ -158,96 +153,6 @@ addChannelCounters(CounterRegistry &reg, const std::string &prefix,
     reg.counter(prefix + "ch.bits_received") = metrics.bitsReceived;
     reg.counter(prefix + "ch.nacks") = metrics.nacks;
     reg.counter(prefix + "ch.retransmits") = metrics.retransmits;
-}
-
-ExperimentRig::ExperimentRig(const ChannelConfig &cfg, int n_local,
-                             int n_remote, Combo csc)
-    : owned_(std::make_unique<Machine>(cfg.system)), machine(*owned_),
-      plan(CorePlan::standard(cfg.system))
-{
-    // Subscribe the caller's recorder and taps before anything else
-    // touches memory, so the captures include share establishment
-    // (KSM scans, COW splits, the ch.share_established milestone).
-    recorder_ = cfg.recorder;
-    if (recorder_)
-        recorder_->attach(machine.mem.trace(), cfg.system.numCores());
-    taps_ = cfg.taps;
-    for (BusTap *tap : taps_)
-        tap->attach(machine.mem.trace(), cfg.system.numCores());
-    detector_ = cfg.detector;
-    if (detector_)
-        detector_->attach(machine.mem.trace());
-    initProcesses();
-    initShared(cfg, csc, cfg.system.seed ^ 0x6b5fca37);
-    // Noise agents start first: the channel must operate against an
-    // already-busy machine.
-    spawnNoiseAgents(machine, cfg.noiseThreads, plan.noise, cfg.noise,
-                     cfg.system.seed * 77 + 5);
-    initCrew(cfg, n_local, n_remote);
-    // Runtime defences (§VIII-E techniques 1 and 2). Technique 3 is
-    // a timing-model change; see runCovertTransmission.
-    if (cfg.defense == Defense::targetedNoise) {
-        // Monitor thread: watches the shared page from a spare core
-        // and issues extra loads, converting E-state blocks to S
-        // under the spy's feet.
-        Process &monitor_proc =
-            machine.kernel.createProcess("monitor");
-        const VAddr watch = monitor_proc.mapPhysical(
-            {pageAlign(shared.paddr)}, false);
-        const VAddr line = watch + pageOffset(shared.paddr);
-        machine.kernel.spawnThread(
-            machine.sched, "monitor", cfg.system.coreOf(1, 3),
-            monitor_proc, [line](ThreadApi api) -> Task {
-                for (;;) {
-                    co_await api.load(line);
-                    co_await api.spin(900);
-                }
-            });
-    }
-    if (cfg.defense == Defense::ksmGuard &&
-        cfg.sharing == SharingMode::ksm) {
-        machine.kernel.enableKsmGuard();
-    }
-}
-
-ExperimentRig::ExperimentRig(Machine &host, const ChannelConfig &cfg,
-                             const CorePlan &pair_plan, int n_local,
-                             int n_remote, Combo csc,
-                             std::uint32_t pair_id,
-                             std::uint64_t pattern_seed)
-    : machine(host), plan(pair_plan), pairId(pair_id)
-{
-    fatal_if(pair_id == 0,
-             "fleet pairs are numbered from 1 (0 marks the "
-             "single-pair path)");
-    // The machine's owner decides what observes its bus and how busy
-    // the host is: no recorder/taps, no noise agents and no
-    // machine-global defences are attached here — only this pair's
-    // processes, shared block and loader crew.
-    initProcesses();
-    initShared(cfg, csc, pattern_seed);
-    initCrew(cfg, n_local, n_remote);
-}
-
-ExperimentRig::~ExperimentRig()
-{
-    if (detector_)
-        detector_->detach();
-    for (BusTap *tap : taps_)
-        tap->detach();
-    if (recorder_)
-        recorder_->detach();
-}
-
-ChannelReport
-runCovertTransmission(const ChannelConfig &cfg,
-                      const BitString &payload,
-                      const CalibrationResult *cal)
-{
-    // Deprecated shim: the whole single-pair flow (llc-notify timing
-    // change, PHY rerouting, calibration fallback, rig, spawn,
-    // metrics) lives in the vector-agnostic driver now.
-    return runVectorTransmission(cfg, payload, cal);
 }
 
 } // namespace csim

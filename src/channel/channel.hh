@@ -1,9 +1,11 @@
 /**
  * @file
- * High-level covert-channel experiment driver: builds a machine,
- * establishes shared memory, spawns noise/trojan/spy and runs one
- * complete covert transmission. This is the public API the examples
- * and benchmark harnesses use.
+ * Covert-channel experiment configuration and per-pair rig state:
+ * the ChannelConfig every driver consumes, the ChannelReport a
+ * transmission produces, the core placement plan, and the
+ * ExperimentRig holding one trojan/spy pair's processes, shared
+ * block and loader crew. The session driver (channel/session.hh)
+ * builds and runs the rigs.
  */
 
 #ifndef COHERSIM_CHANNEL_CHANNEL_HH
@@ -83,32 +85,35 @@ struct ChannelConfig
     /**
      * PHY channel stack selection (`phy.*`, src/phy). The default
      * legacy-parity profile keeps every classic code path; a hamming
-     * profile reroutes transmissions through the framed FEC stack.
+     * profile (or the adaptive controller) selects the framed FEC
+     * link (linkFor in channel/session.hh).
      */
     PhyConfig phy;
     /** Record the spy's raw latency trace (paper Fig. 7). */
     bool collectTrace = false;
     /**
-     * When set, the rig subscribes this recorder to the machine's
-     * trace bus before shared-memory establishment, so the captured
-     * stream covers the whole experiment (KSM merging included).
-     * The recorder outlives the rig; drain it after the run.
+     * When set, the session subscribes this recorder to the
+     * machine's trace bus before shared-memory establishment, so the
+     * captured stream covers the whole experiment (KSM merging
+     * included). The recorder outlives the session; drain it after
+     * the run.
      */
     TraceRecorder *recorder = nullptr;
     /**
      * Additional bus subscribers (run-health monitors, test probes)
      * attached exactly like the recorder: before share
-     * establishment, detached when the rig dies. The taps outlive
-     * the rig and keep their accumulated state.
+     * establishment, detached when the session ends. The taps
+     * outlive the session and keep their accumulated state.
      */
     std::vector<BusTap *> taps;
     /**
      * CC-Hunter-style detector watching the run (detect/cchunter).
      * Attached to the machine's trace bus alongside the recorder and
-     * detached when the rig dies; its verdicts stay readable
+     * detached when the session ends; its verdicts stay readable
      * afterwards. The defense matrix uses this to ask whether the
      * detector still fires when a randomized cache degrades the
-     * channel itself.
+     * channel itself. A fleet reads its per-pair verdicts from it
+     * (or from a detector of its own when this is null).
      */
     CoherenceChannelDetector *detector = nullptr;
     /** Safety stop, in cycles (~300 ms of simulated time). */
@@ -177,23 +182,6 @@ struct ChannelReport
 };
 
 /**
- * Run one covert transmission of @p payload.
- *
- * @deprecated Thin shim over runVectorTransmission
- * (channel/vector.hh), kept for one release; new callers should use
- * runExperiment (channel/experiment.hh) or runVectorTransmission.
- *
- * @param cfg experiment configuration.
- * @param payload bits the trojan exfiltrates.
- * @param cal pre-computed calibration to reuse across a sweep;
- *            calibrated on a scratch machine when null.
- */
-ChannelReport runCovertTransmission(const ChannelConfig &cfg,
-                                    const BitString &payload,
-                                    const CalibrationResult *cal =
-                                        nullptr);
-
-/**
  * Core placement plan shared by all experiment drivers, mirroring the
  * paper's pinning (spy on socket 0; trojan loaders on both sockets;
  * noise threads spread over the remaining cores, oversubscribing
@@ -212,89 +200,52 @@ struct CorePlan
 };
 
 /**
- * Common experiment plumbing shared by the binary channel, the
- * multi-bit symbol channel and the error-corrected session: machine,
- * processes, shared block, noise agents and the trojan's loader crew.
+ * One trojan/spy pair's rig on a machine the session owns: the
+ * pair's processes, shared block and the trojan's loader crew. The
+ * session owns everything machine-wide — bus subscribers, noise
+ * agents, defences.
  */
 class ExperimentRig
 {
   public:
     /**
-     * Build a rig that owns its machine (the single-pair path).
+     * Create the pair's processes and establish its shared block.
      *
-     * @param cfg experiment configuration.
-     * @param n_local local loader threads to spawn.
-     * @param n_remote remote loader threads to spawn.
-     * @param csc the communication combo; the adversaries pick the
-     *        line within their shared page whose NUMA home matches
-     *        the combo's socket, so its re-fetches after each spy
-     *        flush avoid the cross-socket memory penalty.
-     */
-    ExperimentRig(const ChannelConfig &cfg, int n_local, int n_remote,
-                  Combo csc = Combo::localShared);
-
-    /**
-     * Attach to an externally owned @p host machine instead of
-     * building one — the fleet orchestrator owns the machine and
-     * places each pair by its own core plan. The owner also owns the
-     * bus subscribers (recorder/taps), the noise agents and any
-     * machine-global defence, so this mode attaches none of them;
-     * only this pair's processes, shared block and loader crew are
-     * created.
-     *
-     * @param host the shared machine; must outlive the rig.
-     * @param cfg experiment configuration (system must match host).
-     * @param plan per-pair core placement.
-     * @param pair_id 1-based pair number; tags the pair's trace
-     *        events and prefixes its counters.
+     * @param host the session's machine; must outlive the rig.
+     * @param cfg the pair's configuration (system must match host).
+     * @param plan the pair's core placement.
+     * @param csc the combination whose loaders re-fetch the shared
+     *        line; the rig picks the line within the shared page
+     *        homed on that combination's socket, so re-fetches after
+     *        each spy flush avoid the cross-socket memory penalty.
+     * @param pair_id 0 for a single-pair session, 1-based in a
+     *        fleet; tags the pair's trace events, process names and
+     *        counters.
      * @param pattern_seed seeds the shared-block content; must be
      *        distinct per pair, or KSM would merge co-resident
      *        pairs' pages with each other.
      */
     ExperimentRig(Machine &host, const ChannelConfig &cfg,
-                  const CorePlan &plan, int n_local, int n_remote,
-                  Combo csc, std::uint32_t pair_id,
-                  std::uint64_t pattern_seed);
-
-    /**
-     * Detaches the config's recorder and taps (if any) from the
-     * machine's trace bus, which dies with the rig; their captured
-     * state stays readable afterwards.
-     */
-    ~ExperimentRig();
+                  const CorePlan &plan, Combo csc,
+                  std::uint32_t pair_id, std::uint64_t pattern_seed);
 
     ExperimentRig(const ExperimentRig &) = delete;
     ExperimentRig &operator=(const ExperimentRig &) = delete;
 
+    /** Spawn the trojan's loader crew on the plan's loader cores. */
+    void spawnCrew(const ChannelConfig &cfg, int n_local,
+                   int n_remote);
+
     /** Counter-name prefix: "" single-pair, "pairK." for pair K. */
     std::string counterPrefix() const;
 
-  private:
-    /** Set when this rig owns its machine; null in attach mode.
-     *  Declared before the reference so the owning constructor can
-     *  materialize the machine first. */
-    std::unique_ptr<Machine> owned_;
-
-  public:
     Machine &machine;
     CorePlan plan;
     Process *trojanProc = nullptr;
     Process *spyProc = nullptr;
     SharedBlock shared;
     std::unique_ptr<PlacerCrew> crew;
-    /** Pair tag of this rig's adversaries (0: single-pair path). */
     std::uint32_t pairId = 0;
-
-  private:
-    void initProcesses();
-    void initShared(const ChannelConfig &cfg, Combo csc,
-                    std::uint64_t pattern_seed);
-    void initCrew(const ChannelConfig &cfg, int n_local,
-                  int n_remote);
-
-    TraceRecorder *recorder_ = nullptr;
-    std::vector<BusTap *> taps_;
-    CoherenceChannelDetector *detector_ = nullptr;
 };
 
 } // namespace csim

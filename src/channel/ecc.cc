@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "channel/session.hh"
 #include "channel/trace_hooks.hh"
 #include "common/logging.hh"
 
@@ -70,7 +71,7 @@ decodePacket(const BitString &bits)
 namespace
 {
 
-/** Session-side state shared by the two coroutines via the report. */
+/** Link-side state shared by the two coroutines. */
 struct SessionState
 {
     bool trojanDone = false;
@@ -84,9 +85,8 @@ eccTrojanBody(ThreadApi api, PlacerCrew &crew, VAddr block,
               const CalibrationResult &cal, const ChannelParams &params,
               const EccParams &ecc, Tick period,
               const std::vector<BitString> &packets, EccReport &report,
-              SessionState &state)
+              SessionState &state, TrojanResult &sync)
 {
-    TrojanResult sync;
     co_await trojanSyncPhase(api, block, cal, params, sync);
     state.sessionStart = api.now();
     const double cached_threshold = cal.dramBand.lo - 2.0;
@@ -228,87 +228,120 @@ eccSpyBody(ThreadApi api, VAddr block, const ScenarioInfo &scenario,
     }
 }
 
+/** Parity + NACK retransmission as one pair's link. */
+class EccLink final : public PairLink
+{
+  public:
+    explicit EccLink(const EccParams &ecc) : ecc_(ecc) {}
+
+    int
+    localLoaders(const ScenarioInfo &sc) const override
+    {
+        return sc.localLoaders;
+    }
+
+    int
+    remoteLoaders(const ScenarioInfo &sc) const override
+    {
+        return sc.remoteLoaders;
+    }
+
+    void
+    prepare(VectorRun &run) override
+    {
+        // Split into 512-bit packets, zero-padding the last one.
+        const BitString &payload = run.payload;
+        for (std::size_t off = 0; off < payload.size();
+             off += packetDataBits) {
+            BitString data(
+                payload.begin() + static_cast<std::ptrdiff_t>(off),
+                payload.begin() +
+                    static_cast<std::ptrdiff_t>(std::min(
+                        off + packetDataBits, payload.size())));
+            data.resize(packetDataBits, 0);
+            packets_.push_back(encodePacket(
+                static_cast<std::uint8_t>(packets_.size() & 0xff),
+                data));
+        }
+        report_.payloadBits = payload.size();
+        report_.packets = static_cast<int>(packets_.size());
+        period_ = run.cfg.params.nominalSamplePeriod(
+            run.cfg.system.timing);
+    }
+
+    Task
+    trojanTask(ThreadApi api, VectorRun &run) override
+    {
+        return eccTrojanBody(api, *run.rig.crew,
+                             run.rig.shared.trojanVa, run.scenario,
+                             run.cal, run.cfg.params, ecc_, period_,
+                             packets_, report_, state_, run.trojan);
+    }
+
+    Task
+    spyTask(ThreadApi api, VectorRun &run) override
+    {
+        return eccSpyBody(api, run.rig.shared.spyVa, run.scenario,
+                          run.cal, run.cfg.params, ecc_, period_,
+                          static_cast<int>(packets_.size()),
+                          accepted_, state_);
+    }
+
+    bool
+    trojanEnds() const override
+    {
+        return true;
+    }
+
+    void
+    finish(VectorRun &run, ChannelReport &ch, CounterRegistry &,
+           SessionReport &out) override
+    {
+        EccReport &report = out.ecc;
+        report = std::move(report_);
+        report.completed = ch.completed;
+        // Reassemble and truncate to the payload length.
+        const BitString &payload = run.payload;
+        for (const BitString &data : accepted_) {
+            report.delivered.insert(report.delivered.end(),
+                                    data.begin(), data.end());
+        }
+        if (report.delivered.size() > payload.size())
+            report.delivered.resize(payload.size());
+        for (std::size_t i = 0; i < payload.size(); ++i) {
+            if (i >= report.delivered.size() ||
+                report.delivered[i] != payload[i])
+                ++report.residualErrors;
+        }
+        report.durationCycles =
+            state_.trojanEnd > state_.sessionStart
+                ? state_.trojanEnd - state_.sessionStart
+                : 0;
+        const TimingParams &timing = run.cfg.system.timing;
+        report.effectiveKbps =
+            timing.kbps(report.payloadBits, report.durationCycles);
+        report.payloadKbps = timing.kbps(
+            report.payloadBits -
+                std::min<std::uint64_t>(report.residualErrors,
+                                        report.payloadBits),
+            report.durationCycles);
+    }
+
+  private:
+    EccParams ecc_;
+    Tick period_ = 0;
+    std::vector<BitString> packets_;
+    EccReport report_;
+    SessionState state_;
+    std::vector<BitString> accepted_;
+};
+
 } // namespace
 
-EccReport
-runEccTransmission(const ChannelConfig &cfg, const BitString &payload,
-                   const EccParams &ecc, const CalibrationResult *cal)
+std::unique_ptr<PairLink>
+makeEccLink(const EccParams &ecc)
 {
-    CalibrationResult local_cal;
-    if (!cal) {
-        local_cal = calibrate(cfg.system, 400, cfg.params);
-        cal = &local_cal;
-    }
-
-    EccReport report;
-    report.payloadBits = payload.size();
-
-    // Split into 512-bit packets, zero-padding the last one.
-    std::vector<BitString> packets;
-    for (std::size_t off = 0; off < payload.size();
-         off += packetDataBits) {
-        BitString data(
-            payload.begin() + static_cast<std::ptrdiff_t>(off),
-            payload.begin() + static_cast<std::ptrdiff_t>(
-                                  std::min(off + packetDataBits,
-                                           payload.size())));
-        data.resize(packetDataBits, 0);
-        packets.push_back(encodePacket(
-            static_cast<std::uint8_t>(packets.size() & 0xff),
-            data));
-    }
-    report.packets = static_cast<int>(packets.size());
-
-    const ScenarioInfo &scenario = scenarioInfo(cfg.scenario);
-    ExperimentRig rig(cfg, scenario.localLoaders,
-                      scenario.remoteLoaders, scenario.csc);
-    const Tick period =
-        cfg.params.nominalSamplePeriod(cfg.system.timing);
-
-    SessionState state;
-    std::vector<BitString> accepted;
-    SimThread *trojan_thread = rig.machine.kernel.spawnThread(
-        rig.machine.sched, "trojan.ctl", rig.plan.controller,
-        *rig.trojanProc, [&](ThreadApi api) {
-            return eccTrojanBody(api, *rig.crew, rig.shared.trojanVa,
-                                 scenario, *cal, cfg.params, ecc,
-                                 period, packets, report, state);
-        });
-    rig.machine.kernel.spawnThread(
-        rig.machine.sched, "spy", rig.plan.spy, *rig.spyProc,
-        [&](ThreadApi api) {
-            return eccSpyBody(api, rig.shared.spyVa, scenario, *cal,
-                              cfg.params, ecc, period,
-                              static_cast<int>(packets.size()),
-                              accepted, state);
-        });
-
-    rig.machine.sched.runUntilFinished(trojan_thread, cfg.timeout);
-    report.completed = trojan_thread->finished;
-    rig.crew->stopAll();
-
-    // Reassemble and truncate to the payload length.
-    BitString delivered;
-    for (const BitString &data : accepted)
-        delivered.insert(delivered.end(), data.begin(), data.end());
-    if (delivered.size() > payload.size())
-        delivered.resize(payload.size());
-    report.delivered = delivered;
-    for (std::size_t i = 0; i < payload.size(); ++i) {
-        if (i >= delivered.size() || delivered[i] != payload[i])
-            ++report.residualErrors;
-    }
-    report.durationCycles = state.trojanEnd > state.sessionStart
-                                ? state.trojanEnd - state.sessionStart
-                                : 0;
-    report.effectiveKbps = cfg.system.timing.kbps(
-        report.payloadBits, report.durationCycles);
-    report.payloadKbps = cfg.system.timing.kbps(
-        report.payloadBits -
-            std::min<std::uint64_t>(report.residualErrors,
-                                    report.payloadBits),
-        report.durationCycles);
-    return report;
+    return std::make_unique<EccLink>(ecc);
 }
 
 } // namespace csim

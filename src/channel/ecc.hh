@@ -8,7 +8,8 @@
  * detected a parity error it transmits a NACK by caching block B
  * during the trojan's acknowledgement window; the trojan then
  * retransmits. The scheme guarantees (near-)complete bit recovery at
- * the cost of retransmission and acknowledgement overhead.
+ * the cost of retransmission and acknowledgement overhead. The scheme
+ * runs as the session's ecc link (channel/session.hh, LinkKind::ecc).
  */
 
 #ifndef COHERSIM_CHANNEL_ECC_HH
@@ -86,14 +87,6 @@ struct EccReport
     double payloadKbps = 0.0;
     bool completed = false;
 };
-
-/**
- * Run an error-corrected covert session delivering @p payload.
- */
-EccReport runEccTransmission(const ChannelConfig &cfg,
-                             const BitString &payload,
-                             const EccParams &ecc = {},
-                             const CalibrationResult *cal = nullptr);
 
 } // namespace csim
 

@@ -1,6 +1,5 @@
 #include "channel/experiment.hh"
 
-#include "channel/vector.hh"
 #include "prof/profiler.hh"
 
 namespace csim
@@ -25,22 +24,21 @@ runExperiment(const ExperimentSpec &spec, const CalibrationResult *cal,
     if (spec.fleet.pairs > 1) {
         ScopedSpan span("experiment.fleet");
         out.kind = ExperimentKind::fleet;
-        out.fleet = runFleet(spec.toFleetConfig(), cal);
+        out.fleet = runSession(spec.toFleetSession(), {}, cal).fleet;
         return out;
     }
-    const ChannelConfig cfg = spec.toChannelConfig();
+    SessionConfig cfg;
+    cfg.channel = spec.toChannelConfig();
+    cfg.link = linkFor(cfg.channel);
+    out.kind = cfg.link == LinkKind::phy ? ExperimentKind::phy
+                                         : ExperimentKind::single;
     const BitString bits = payload ? *payload : spec.makePayload();
-    if (cfg.vector == VectorKind::coherence &&
-        (cfg.phy.profile != PhyProfile::legacyParity ||
-         cfg.phy.adaptive)) {
-        ScopedSpan span("experiment.phy");
-        out.kind = ExperimentKind::phy;
-        out.phy = runPhyTransmission(cfg, bits, cal, &out.channel);
-        return out;
-    }
-    ScopedSpan span("experiment.single");
-    out.kind = ExperimentKind::single;
-    out.channel = runVectorTransmission(cfg, bits, cal);
+    ScopedSpan span(out.kind == ExperimentKind::phy
+                        ? "experiment.phy"
+                        : "experiment.single");
+    SessionReport rep = runSession(cfg, bits, cal);
+    out.channel = std::move(rep.channel);
+    out.phy = std::move(rep.phy);
     return out;
 }
 

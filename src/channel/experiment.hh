@@ -1,26 +1,21 @@
 /**
  * @file
- * The one-call experiment dispatcher: `runExperiment(spec)` resolves
- * a declarative ExperimentSpec and routes it to the right driver —
- * the single-pair vector transmission (channel/vector.hh), the PHY
- * channel stack (phy/phy_channel.hh) or the multi-tenant fleet
- * orchestrator (channel/fleet.hh) — returning one sum-type result.
+ * The one-call experiment entry point: `runExperiment(spec)`
+ * resolves a declarative ExperimentSpec into a transmission session
+ * (channel/session.hh) — one pair through the raw or PHY link, or a
+ * multi-tenant fleet — and returns one sum-type result.
  *
  * This sits at the top of the channel stack, one layer above the
- * config resolution it consumes; everything below it stays callable
- * directly (runVectorTransmission for a raw ChannelConfig, runFleet
- * for a raw FleetConfig), and the pre-redesign entry points
- * (runCovertTransmission, bare runPhyTransmission calls) remain as
- * thin deprecated shims for one release.
+ * config resolution it consumes. Callers holding a resolved config
+ * they adjust by hand, or wanting the ecc/symbols links, call
+ * runSession directly.
  */
 
 #ifndef COHERSIM_CHANNEL_EXPERIMENT_HH
 #define COHERSIM_CHANNEL_EXPERIMENT_HH
 
-#include "channel/channel.hh"
-#include "channel/fleet.hh"
+#include "channel/session.hh"
 #include "config/experiment_spec.hh"
-#include "phy/phy_channel.hh"
 
 namespace csim
 {
@@ -40,8 +35,7 @@ const char *experimentKindName(ExperimentKind k);
  * is authoritative, named by @ref kind; the others stay
  * default-constructed — except that a PHY run also fills @ref
  * channel with the common transport view (metrics, counters,
- * trojan/spy results), like runPhyTransmission's channel_report
- * out-param always has.
+ * trojan/spy results).
  */
 struct ExperimentResult
 {
@@ -62,10 +56,10 @@ struct ExperimentResult
 /**
  * Resolve @p spec and run it end to end.
  *
- * Dispatch order: fleet.pairs > 1 runs the fleet; a coherence-vector
- * spec with a non-legacy PHY profile (or the adaptive controller)
- * runs the PHY stack; everything else runs one plain vector
- * transmission.
+ * fleet.pairs > 1 runs the fleet; otherwise one pair runs through
+ * the link the channel selects (linkFor: the PHY stack for a
+ * non-legacy profile or the adaptive controller, the vector's raw
+ * modulation otherwise).
  *
  * @param spec the declarative experiment description.
  * @param cal pre-computed calibration to reuse across a sweep;

@@ -1,17 +1,16 @@
 /**
  * @file
- * Multi-tenant fleet experiments: one simulated machine hosting N
- * concurrent trojan/spy pairs plus M noise agents.
+ * Multi-tenant fleet layout and results: one simulated machine
+ * hosting N concurrent trojan/spy pairs plus M noise agents.
  *
  * The paper evaluates one pair on an otherwise idle host, but its
- * threat model is a shared cloud machine. The fleet orchestrator
- * (`runFleet`) owns the machine and attaches one `ExperimentRig` per
- * pair (external-machine mode), with per-pair seeds, per-pair core
- * plans and staggered start offsets, then reports per-pair
- * accuracy/effectiveKbps alongside the CC-Hunter view of the whole
- * host — both the per-pair line verdicts and the machine-aggregate
- * (address-blind) verdict that answers "does the detector still fire
- * when N channels interleave?".
+ * threat model is a shared cloud machine. A fleet is a transmission
+ * session (channel/session.hh) with N pairs numbered from 1: per-pair
+ * seeds, per-pair core plans and staggered start offsets, reporting
+ * per-pair accuracy/effectiveKbps alongside the CC-Hunter view of the
+ * whole host — both the per-pair line verdicts and the
+ * machine-aggregate (address-blind) verdict that answers "does the
+ * detector still fire when N channels interleave?".
  *
  * Everything is deterministic: pair k's payload, share pattern and
  * scenario follow from the base seed and k alone, so a fleet run is
@@ -31,18 +30,16 @@
 namespace csim
 {
 
-/** Configuration of one multi-tenant fleet experiment. */
+/**
+ * The fleet-only knobs of a session (SessionConfig::fleet). The
+ * per-pair channel knobs and the shared host's `system` live in
+ * SessionConfig::channel, whose `noiseThreads` the fleet replaces by
+ * @ref noiseAgents. The channel's defence deploys once for the whole
+ * machine: the targeted-noise monitor round-robins over every pair's
+ * line, and the KSM guard and llc-notify are machine-wide anyway.
+ */
 struct FleetConfig
 {
-    /**
-     * Per-pair channel knobs and the shared host's `system`. The
-     * fields the orchestrator owns machine-wide are lifted out of
-     * the per-pair path: `noiseThreads` is replaced by
-     * @ref noiseAgents, `defense` must be none (machine-global
-     * defences are future work), and `recorder`/`taps` observe the
-     * whole machine.
-     */
-    ChannelConfig base;
     /** Concurrent trojan/spy pairs (>= 1). */
     int pairs = 2;
     /** Fleet-wide noise agents (co-tenant background load). */
@@ -56,7 +53,7 @@ struct FleetConfig
     Tick staggerCycles = 200'000;
     /**
      * Scenario of pair k: mix[k % mix.size()]; empty runs every
-     * pair in base.scenario.
+     * pair in the channel's scenario.
      */
     std::vector<Scenario> scenarioMix;
     /** Random payload bits each pair transmits (per-pair seeded). */
@@ -67,7 +64,10 @@ struct FleetConfig
      * (noise agents + co-resident pairs) folded in.
      */
     double timeoutMargin = 20.0;
-    /** Thresholds of the attached CC-Hunter monitor. */
+    /**
+     * Thresholds of the session's own CC-Hunter monitor, used when
+     * the channel brings no detector of its own.
+     */
     DetectorParams detector;
 };
 
@@ -118,17 +118,6 @@ struct FleetReport
  * uncore only. Pair 0's plan equals CorePlan::standard.
  */
 CorePlan fleetCorePlan(const SystemConfig &sys, int k);
-
-/**
- * Run one fleet experiment.
- *
- * @param cfg fleet configuration.
- * @param cal pre-computed calibration shared by every pair (they
- *            probe the same microarchitecture); calibrated on a
- *            scratch machine when null.
- */
-FleetReport runFleet(const FleetConfig &cfg,
-                     const CalibrationResult *cal = nullptr);
 
 } // namespace csim
 

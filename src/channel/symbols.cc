@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 
+#include "channel/session.hh"
 #include "common/logging.hh"
 
 namespace csim
@@ -157,63 +158,81 @@ symbolSpyBody(ThreadApi api, VAddr block, const CalibrationResult &cal,
         symbols_out.erase(symbols_out.begin());
 }
 
-} // namespace
-
-SymbolReport
-runSymbolTransmission(const ChannelConfig &cfg,
-                      const BitString &payload,
-                      const SymbolParams &sym_params,
-                      const CalibrationResult *cal)
+/** 2-bit symbols over all four combinations as one pair's link. */
+class SymbolLink final : public PairLink
 {
-    CalibrationResult local_cal;
-    if (!cal) {
-        local_cal = calibrate(cfg.system, 400, cfg.params);
-        cal = &local_cal;
-    }
-
-    BitString padded = payload;
-    if (padded.size() % bitsPerSymbol)
-        padded.push_back(0);
-
-    SymbolReport report;
-    report.sent = padded;
-    report.sentSymbols = bitsToSymbols(padded, bitsPerSymbol);
+  public:
+    explicit SymbolLink(const SymbolParams &params) : params_(params) {}
 
     // The symbol channel needs the full crew: two loaders per socket.
-    ExperimentRig rig(cfg, 2, 2);
-    const Tick period =
-        cfg.params.nominalSamplePeriod(cfg.system.timing);
+    int localLoaders(const ScenarioInfo &) const override { return 2; }
+    int remoteLoaders(const ScenarioInfo &) const override { return 2; }
 
-    rig.machine.kernel.spawnThread(
-        rig.machine.sched, "trojan.ctl", rig.plan.controller,
-        *rig.trojanProc, [&](ThreadApi api) {
-            return symbolTrojanBody(api, *rig.crew,
-                                    rig.shared.trojanVa, *cal,
-                                    cfg.params, sym_params, period,
-                                    report.sentSymbols,
-                                    report.trojan);
-        });
-    SimThread *spy_thread = rig.machine.kernel.spawnThread(
-        rig.machine.sched, "spy", rig.plan.spy, *rig.spyProc,
-        [&](ThreadApi api) {
-            return symbolSpyBody(api, rig.shared.spyVa, *cal,
-                                 cfg.params, sym_params,
-                                 report.receivedSymbols, report.trace,
-                                 cfg.collectTrace);
-        });
+    Combo
+    carrier(const ScenarioInfo &) const override
+    {
+        return Combo::localShared;
+    }
 
-    rig.machine.sched.runUntilFinished(spy_thread, cfg.timeout);
-    report.completed = spy_thread->finished;
-    rig.crew->stopAll();
+    void
+    prepare(VectorRun &run) override
+    {
+        BitString padded = run.payload;
+        if (padded.size() % bitsPerSymbol)
+            padded.push_back(0);
+        report_.sentSymbols = bitsToSymbols(padded, bitsPerSymbol);
+        report_.sent = std::move(padded);
+        period_ = run.cfg.params.nominalSamplePeriod(
+            run.cfg.system.timing);
+    }
 
-    report.received =
-        symbolsToBits(report.receivedSymbols, bitsPerSymbol);
-    report.metrics = computeMetrics(
-        report.sent, report.received, report.trojan.txStart,
-        report.trojan.txEnd ? report.trojan.txEnd
-                            : rig.machine.sched.now(),
-        cfg.system.timing);
-    return report;
+    Task
+    trojanTask(ThreadApi api, VectorRun &run) override
+    {
+        return symbolTrojanBody(api, *run.rig.crew,
+                                run.rig.shared.trojanVa, run.cal,
+                                run.cfg.params, params_, period_,
+                                report_.sentSymbols, run.trojan);
+    }
+
+    Task
+    spyTask(ThreadApi api, VectorRun &run) override
+    {
+        return symbolSpyBody(api, run.rig.shared.spyVa, run.cal,
+                             run.cfg.params, params_,
+                             report_.receivedSymbols, report_.trace,
+                             run.collectTrace);
+    }
+
+    void
+    finish(VectorRun &run, ChannelReport &ch, CounterRegistry &,
+           SessionReport &out) override
+    {
+        SymbolReport &report = out.symbols;
+        report = std::move(report_);
+        report.trojan = run.trojan;
+        report.completed = ch.completed;
+        report.received =
+            symbolsToBits(report.receivedSymbols, bitsPerSymbol);
+        report.metrics = computeMetrics(
+            report.sent, report.received, run.trojan.txStart,
+            run.trojan.txEnd ? run.trojan.txEnd
+                             : run.rig.machine.sched.now(),
+            run.cfg.system.timing);
+    }
+
+  private:
+    SymbolParams params_;
+    Tick period_ = 0;
+    SymbolReport report_;
+};
+
+} // namespace
+
+std::unique_ptr<PairLink>
+makeSymbolLink(const SymbolParams &params)
+{
+    return std::make_unique<SymbolLink>(params);
 }
 
 } // namespace csim

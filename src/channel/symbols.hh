@@ -6,7 +6,8 @@
  * once: each pair encodes one of four 2-bit symbol values. Symbol
  * boundaries are signalled by the trojan going quiet, so the spy's
  * reload falls into the out-of-band (DRAM) latency band — a fifth,
- * clearly distinct level.
+ * clearly distinct level. The scheme runs as the session's symbols link
+ * (channel/session.hh, LinkKind::symbols).
  */
 
 #ifndef COHERSIM_CHANNEL_SYMBOLS_HH
@@ -55,16 +56,6 @@ struct SymbolReport
     std::vector<SpySample> trace;  //!< raw latencies (Fig. 11)
     bool completed = false;
 };
-
-/**
- * Transmit @p payload using 2-bit symbols. The payload is split into
- * 2-bit symbols; a trailing odd bit is zero-padded.
- */
-SymbolReport runSymbolTransmission(const ChannelConfig &cfg,
-                                   const BitString &payload,
-                                   const SymbolParams &sym_params = {},
-                                   const CalibrationResult *cal =
-                                       nullptr);
 
 } // namespace csim
 

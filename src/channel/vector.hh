@@ -7,10 +7,12 @@
  * state is modulated), a spy primitive (how it is timed/probed), a
  * calibration procedure (which bands to learn on a scratch machine)
  * and a symbol mapping (how timed probes become bits) — while the
- * surrounding machinery stays vector-agnostic: ExperimentRig builds
- * processes/shared state/loader crew, noise agents and defences
- * deploy identically, fleet runs stagger any vector's pairs, and the
- * detector/obs layers watch the same trace bus.
+ * surrounding machinery stays vector-agnostic: the session
+ * (channel/session.hh) runs a vector as its pairs' raw link,
+ * ExperimentRig builds processes/shared state/loader crew, noise
+ * agents and defences deploy identically, fleet runs stagger any
+ * vector's pairs, and the detector/obs layers watch the same trace
+ * bus.
  *
  * Band convention for non-coherence vectors: the coherence channel
  * indexes CalibrationResult::bands by Combo, the others use only two
@@ -52,8 +54,9 @@ idleBand(const CalibrationResult &cal)
 
 /**
  * Everything one trojan/spy pair's bodies need, assembled by the
- * driver (runVectorTransmission) or the fleet orchestrator. The
- * referenced objects outlive the spawned coroutines.
+ * session for every pair and handed to its link (and through the raw
+ * link to its vector). The referenced objects outlive the spawned
+ * coroutines.
  */
 struct VectorRun
 {
@@ -64,7 +67,7 @@ struct VectorRun
     ExperimentRig &rig;
     TrojanResult &trojan;
     SpyResult &spy;
-    /** Record the spy's raw samples (single-pair path only). */
+    /** Record the spy's raw samples (ChannelConfig::collectTrace). */
     bool collectTrace = false;
     /**
      * Start offset of this pair (fleet stagger; 0 single-pair).
@@ -91,7 +94,7 @@ class LeakageVector
     /**
      * Learn this vector's latency bands by self-measurement on a
      * scratch machine built from @p cfg (paper §VII-B). Sweeps reuse
-     * one result across points; the driver calls this only when the
+     * one result across points; the session calls this only when the
      * caller did not pass a calibration in.
      */
     virtual CalibrationResult
@@ -126,7 +129,7 @@ class LeakageVector
 
     /**
      * The spy coroutine. Must fill run.spy (bits, rxStart/rxEnd) and
-     * publish the chRx* milestones. The driver stops the run when
+     * publish the chRx* milestones. The session stops the run when
      * this thread finishes.
      */
     virtual Task spyTask(ThreadApi api, VectorRun &run) = 0;
@@ -134,22 +137,6 @@ class LeakageVector
 
 /** Instantiate the plugin for a vector kind. */
 std::unique_ptr<LeakageVector> makeLeakageVector(VectorKind kind);
-
-/**
- * Run one covert transmission of @p payload over cfg.vector.
- *
- * This is the vector-agnostic driver every single-pair entry point
- * funnels into: it applies the llc-notify timing change, reroutes
- * coherence+PHY configurations to the framed FEC stack, calibrates
- * (unless @p cal is given), builds an ExperimentRig, lets the vector
- * prepare, spawns its trojan/spy bodies and computes metrics. With
- * cfg.vector == coherence it reproduces the classic
- * runCovertTransmission sequence operation for operation.
- */
-ChannelReport runVectorTransmission(const ChannelConfig &cfg,
-                                    const BitString &payload,
-                                    const CalibrationResult *cal =
-                                        nullptr);
 
 } // namespace csim
 

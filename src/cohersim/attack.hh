@@ -25,6 +25,7 @@
 #include "channel/noise.hh"
 #include "channel/placer.hh"
 #include "channel/protocol.hh"
+#include "channel/session.hh"
 #include "channel/sharing.hh"
 #include "channel/spy.hh"
 #include "channel/symbols.hh"

@@ -89,14 +89,15 @@ ExperimentSpec::toChannelConfig() const
     return cfg;
 }
 
-FleetConfig
-ExperimentSpec::toFleetConfig() const
+SessionConfig
+ExperimentSpec::toFleetSession() const
 {
-    FleetConfig cfg;
-    cfg.base = toChannelConfig();
-    // Fleet noise is fleet-owned: the per-rig noiseThreads knob only
-    // feeds the contention-derived timeout below.
-    cfg.base.noiseThreads = 0;
+    SessionConfig session;
+    session.channel = toChannelConfig();
+    // Fleet noise is fleet-owned: the per-pair noiseThreads knob
+    // only feeds the contention-derived timeout.
+    session.channel.noiseThreads = 0;
+    FleetConfig &cfg = session.fleet.emplace();
     cfg.pairs = static_cast<int>(fleet.pairs);
     cfg.noiseAgents = static_cast<int>(fleet.noiseAgents);
     cfg.staggerCycles = static_cast<Tick>(fleet.staggerCycles);
@@ -111,7 +112,7 @@ ExperimentSpec::toFleetConfig() const
     }
     cfg.payloadBits = payloadBits();
     cfg.timeoutMargin = timeoutMargin > 0.0 ? timeoutMargin : 20.0;
-    return cfg;
+    return session;
 }
 
 void
@@ -139,6 +140,8 @@ ExperimentSpec::validate() const
             " must not exceed system.timing.long_tail_max = ",
             channel.system.timing.longTailMax));
 
+    validateLink(linkFor(channel));
+
     if (!fleet.scenarioMix.empty()) {
         for (const std::string &name :
              splitCsv(fleet.scenarioMix)) {
@@ -153,6 +156,35 @@ ExperimentSpec::validate() const
     }
 
     sweepAxes(*this);  // throws on malformed axis lists
+}
+
+void
+ExperimentSpec::validateLink(LinkKind link) const
+{
+    if (link == LinkKind::raw)
+        return;
+    const std::string phy =
+        channel.phy.adaptive
+            ? std::string("phy.adaptive = true")
+            : msgCat("phy.profile = ",
+                     phyProfileName(channel.phy.profile));
+    const std::string what =
+        link == LinkKind::phy
+            ? phy + " selects the phy link, which"
+            : msgCat("the ", linkKindName(link), " link");
+    if (channel.vector != VectorKind::coherence)
+        throw ConfigError(msgCat(
+            what, " modulates the coherence channel only, not "
+                  "channel.vector = ",
+            vectorName(channel.vector)));
+    if (fleet.pairs > 1)
+        throw ConfigError(msgCat(
+            what, " runs one pair, not fleet.pairs = ", fleet.pairs,
+            " (fleet pairs run the raw link)"));
+    if (link != LinkKind::phy && linkFor(channel) == LinkKind::phy)
+        throw ConfigError(msgCat(phy, " selects the phy link; the ",
+                                 linkKindName(link),
+                                 " link would ignore it"));
 }
 
 GridAxes

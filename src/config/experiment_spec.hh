@@ -25,7 +25,7 @@
 #include <vector>
 
 #include "channel/channel.hh"
-#include "channel/fleet.hh"
+#include "channel/session.hh"
 #include "common/bit_string.hh"
 #include "obs/obs_config.hh"
 
@@ -128,29 +128,38 @@ struct ExperimentSpec
 
     /**
      * Resolve the runnable per-experiment configuration: derive
-     * params from rateKbps, apply the llc-notify defence to the
-     * timing model, derive the timeout from the payload when a
-     * margin is set.
+     * params from rateKbps and the timeout from the payload when a
+     * margin is set. The session applies the llc-notify defence.
      */
     ChannelConfig toChannelConfig() const;
 
     /**
-     * Resolve the runnable fleet configuration: the resolved
-     * per-pair base (toChannelConfig) plus the fleet.* axes, with
-     * the scenario mix parsed into Scenario ids. The timeout margin
-     * falls back to 20 when unset — fleet timeouts are always
-     * contention-derived (ChannelConfig::deriveTimeout), never the
-     * raw channel.timeout, because co-resident pairs stretch every
-     * transmission. Throws ConfigError on a malformed mix entry.
+     * Resolve the runnable fleet session: the resolved per-pair
+     * channel (toChannelConfig) plus the fleet.* axes, with the
+     * scenario mix parsed into Scenario ids — a fleet even at
+     * fleet.pairs = 1. The timeout margin falls back to 20 when
+     * unset — fleet timeouts are always contention-derived
+     * (ChannelConfig::deriveTimeout), never the raw channel.timeout,
+     * because co-resident pairs stretch every transmission. Throws
+     * ConfigError on a malformed mix entry.
      */
-    FleetConfig toFleetConfig() const;
+    SessionConfig toFleetSession() const;
 
     /**
      * Check every registry field against its valid range plus the
-     * cross-field constraints (c0 < c1, well-formed sweep axes).
+     * cross-field constraints (c0 < c1, well-formed sweep axes, the
+     * link the channel selects: validateLink(linkFor(channel))).
      * Throws ConfigError naming the offending key and value.
      */
     void validate() const;
+
+    /**
+     * Throw ConfigError when this spec asks for something @p link
+     * cannot honour instead of silently dropping it: every link but
+     * raw rides one coherence-vector pair, and the ecc and symbols
+     * links carry no PHY selection.
+     */
+    void validateLink(LinkKind link) const;
 };
 
 /** The expanded axes of a spec's sweep grid. */

@@ -1,10 +1,14 @@
 #include "phy/phy_channel.hh"
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
+#include "channel/session.hh"
 #include "channel/trace_hooks.hh"
 #include "common/logging.hh"
 #include "phy/adaptive.hh"
+#include "phy/frame.hh"
 #include "phy/preamble.hh"
 #include "phy/soft.hh"
 #include "prof/profiler.hh"
@@ -12,6 +16,54 @@
 namespace csim
 {
 
+namespace
+{
+
+/**
+ * State one PHY session's two coroutines share, plus everything they
+ * record besides the pair's trojan/spy results. The
+ * scenario/calibration pointers are non-owning and outlive the run.
+ */
+struct PhySession
+{
+    const ScenarioInfo *scenario = nullptr;
+    const CalibrationResult *cal = nullptr;
+    ChannelParams params;   //!< post-adaptive operating parameters
+    PhyConfig phy;          //!< post-adaptive profile and knobs
+    Tick period = 0;        //!< nominal sample period under params
+    std::vector<BitString> frames;  //!< wire frames to transmit
+
+    /** @name Adaptive-controller evidence (zero when disabled) */
+    /** @{ */
+    double rateKbps = 0.0;
+    double bandSeparation = 0.0;
+    /** @} */
+
+    /** @name Live coroutine state */
+    /** @{ */
+    bool trojanDone = false;
+    Tick sessionStart = 0;  //!< sync end (payload clock starts)
+    Tick trojanEnd = 0;
+    /** @} */
+
+    /** @name Outputs */
+    /** @{ */
+    /**
+     * Accepted frame chunks keyed by *absolute* frame index,
+     * unwrapped from the 4-bit sequence numbers: a lost frame
+     * leaves a gap (an erasure) instead of shifting every later
+     * chunk's position.
+     */
+    std::vector<std::pair<std::size_t, BitString>> accepted;
+    PhyStageStats stages;
+    std::uint64_t rawBitsSent = 0;
+    /** @} */
+};
+
+/**
+ * Resolve the operating point (running the adaptive controller when
+ * cfg.phy.adaptive) and pre-encode the payload into wire frames.
+ */
 void
 phyPrepareSession(PhySession &s, const ChannelConfig &cfg,
                   const BitString &payload,
@@ -57,11 +109,12 @@ phyPrepareSession(PhySession &s, const ChannelConfig &cfg,
     }
 }
 
+/** Trojan controller: sync handshake, then one burst per frame. */
 Task
 phyTrojanBody(ThreadApi api, PlacerCrew &crew, VAddr block,
-              PhySession &s)
+              PhySession &s, TrojanResult &trojan)
 {
-    co_await trojanSyncPhase(api, block, *s.cal, s.params, s.trojan);
+    co_await trojanSyncPhase(api, block, *s.cal, s.params, trojan);
     s.sessionStart = api.now();
     if (s.rateKbps > 0.0) {
         chEvent(api, TraceEventType::chPhyAdapt,
@@ -75,10 +128,10 @@ phyTrojanBody(ThreadApi api, PlacerCrew &crew, VAddr block,
         co_await trojanTransmit(api, crew, block, *s.scenario,
                                 s.params, s.period, frame, tr);
         if (first) {
-            s.trojan.txStart = tr.txStart;
+            trojan.txStart = tr.txStart;
             first = false;
         }
-        s.trojan.txEnd = tr.txEnd;
+        trojan.txEnd = tr.txEnd;
         s.rawBitsSent += frame.size();
         ++s.stages.framesSent;
         // Brief inter-frame silence: the spy's translator parks in
@@ -90,8 +143,13 @@ phyTrojanBody(ThreadApi api, PlacerCrew &crew, VAddr block,
     s.trojanDone = true;
 }
 
+/**
+ * Spy: sample, soft-demap, hunt for preambles, decode headers and
+ * FEC-protected bodies until the trojan falls silent. @p spy.bits
+ * collects the demapped wire bits, for diagnostics.
+ */
 Task
-phySpyBody(ThreadApi api, VAddr block, PhySession &s)
+phySpyBody(ThreadApi api, VAddr block, PhySession &s, SpyResult &spy)
 {
     LatencyBand tc = s.cal->band(s.scenario->csc);
     LatencyBand tb = s.cal->band(s.scenario->csb);
@@ -147,7 +205,7 @@ phySpyBody(ThreadApi api, VAddr block, PhySession &s)
         if (!soft)
             continue;
         ++s.stages.wireBitsReceived;
-        s.spy.bits.push_back(soft->bit);
+        spy.bits.push_back(soft->bit);
         chEvent(api, TraceEventType::chRxBit, soft->bit,
                 wire_index++);
 
@@ -158,9 +216,9 @@ phySpyBody(ThreadApi api, VAddr block, PhySession &s)
                 chEvent(api, TraceEventType::chPhyPreambleLock,
                         static_cast<std::uint64_t>(
                             detector.lastMismatches()));
-                if (!s.spy.sawTransmission) {
-                    s.spy.sawTransmission = true;
-                    s.spy.rxStart = api.now();
+                if (!spy.sawTransmission) {
+                    spy.sawTransmission = true;
+                    spy.rxStart = api.now();
                     chEvent(api, TraceEventType::chRxStart);
                 }
                 header_bits.clear();
@@ -229,7 +287,7 @@ phySpyBody(ThreadApi api, VAddr block, PhySession &s)
                 }
                 chEvent(api, TraceEventType::chPhyFrame, hdr.seq,
                         dup ? 0 : 1);
-                s.spy.rxEnd = api.now();
+                spy.rxEnd = api.now();
                 detector.reset();
                 rx = Rx::hunt;
             }
@@ -239,6 +297,10 @@ phySpyBody(ThreadApi api, VAddr block, PhySession &s)
     chEvent(api, TraceEventType::chRxEnd, s.stages.wireBitsReceived);
 }
 
+/**
+ * Harvest the session into a report. @p fallback_end bounds the
+ * duration when the trojan never finished (timeout).
+ */
 PhyReport
 phyFinalizeSession(const PhySession &s, const BitString &payload,
                    const TimingParams &timing, Tick fallback_end)
@@ -284,14 +346,20 @@ phyFinalizeSession(const PhySession &s, const BitString &payload,
     return r;
 }
 
+/**
+ * Map a finished session onto the common ChannelMetrics: accuracy
+ * and effective/payload rates are payload-level, rawKbps is the wire
+ * rate (so the FEC expansion factor stays visible).
+ */
 ChannelMetrics
 phyChannelMetrics(const PhyReport &report, const PhySession &s,
+                  const TrojanResult &trojan,
                   const BitString &payload,
                   const TimingParams &timing)
 {
     ChannelMetrics m = computeMetrics(
-        payload, report.delivered, s.trojan.txStart,
-        s.trojanDone ? s.trojanEnd : s.trojan.txEnd, timing);
+        payload, report.delivered, trojan.txStart,
+        s.trojanDone ? s.trojanEnd : trojan.txEnd, timing);
     // Payload-level accuracy and goodput; the wire rate keeps the
     // FEC expansion factor visible next to them.
     m.payloadKbps = m.effectiveKbps;
@@ -299,6 +367,10 @@ phyChannelMetrics(const PhyReport &report, const PhySession &s,
     return m;
 }
 
+/**
+ * Publish the per-stage counters into @p reg under
+ * `<prefix>ch.phy.*`, next to the common `<prefix>ch.*` set.
+ */
 void
 addPhyCounters(CounterRegistry &reg, const std::string &prefix,
                const PhyReport &report)
@@ -324,83 +396,67 @@ addPhyCounters(CounterRegistry &reg, const std::string &prefix,
             static_cast<std::uint64_t>(report.rateKbps);
 }
 
-PhyReport
-runPhyTransmission(const ChannelConfig &cfg_in,
-                   const BitString &payload,
-                   const CalibrationResult *cal,
-                   ChannelReport *channel_report)
+/** The framed FEC stack as one pair's link. */
+class PhyLink final : public PairLink
 {
-    // Mirror runCovertTransmission: the llc-notify defence changes
-    // the timing model before calibration samples it.
-    ChannelConfig cfg = cfg_in;
-    if (cfg.defense == Defense::llcNotify)
-        cfg.system.timing.llcNotifiedOfUpgrade = true;
-
-    CalibrationResult local_cal;
-    if (!cal) {
-        ScopedSpan span("rig.calibrate");
-        local_cal = calibrate(cfg.system, 400, cfg.params);
-        cal = &local_cal;
-    }
-
-    PhySession session;
-    phyPrepareSession(session, cfg, payload, *cal);
-
-    ExperimentRig rig(cfg, session.scenario->localLoaders,
-                      session.scenario->remoteLoaders,
-                      session.scenario->csc);
-
-    rig.machine.kernel.spawnThread(
-        rig.machine.sched, "trojan.ctl", rig.plan.controller,
-        *rig.trojanProc, [&](ThreadApi api) {
-            return phyTrojanBody(api, *rig.crew, rig.shared.trojanVa,
-                                 session);
-        });
-    SimThread *spy_thread = rig.machine.kernel.spawnThread(
-        rig.machine.sched, "spy", rig.plan.spy, *rig.spyProc,
-        [&](ThreadApi api) {
-            return phySpyBody(api, rig.shared.spyVa, session);
-        });
-
+  public:
+    int
+    localLoaders(const ScenarioInfo &sc) const override
     {
-        ScopedSpan span("rig.run");
-        const Tick run_start = rig.machine.sched.now();
-        rig.machine.sched.runUntilFinished(spy_thread, cfg.timeout);
-        span.addVirtual(rig.machine.sched.now() - run_start);
-    }
-    rig.crew->stopAll();
-
-    if (Profiler::enabled()) {
-        const TrojanResult &tr = session.trojan;
-        if (tr.syncEnd >= tr.syncStart)
-            profRecord("rig.sync", 0, tr.syncEnd - tr.syncStart);
-        if (tr.txEnd >= tr.txStart)
-            profRecord("rig.transmit", 0, tr.txEnd - tr.txStart);
+        return sc.localLoaders;
     }
 
-    PhyReport report = phyFinalizeSession(session, payload,
-                                          cfg.system.timing,
-                                          rig.machine.sched.now());
-    report.completed = spy_thread->finished;
-
-    if (channel_report) {
-        channel_report->sent = payload;
-        channel_report->received = report.delivered;
-        channel_report->trojan = session.trojan;
-        channel_report->spy = session.spy;
-        channel_report->shared = rig.shared;
-        channel_report->completed = report.completed;
-        channel_report->metrics = phyChannelMetrics(
-            report, session, payload, cfg.system.timing);
-        channel_report->counters =
-            collectCounters(rig.machine, cfg.recorder);
-        addChannelCounters(channel_report->counters,
-                           rig.counterPrefix(),
-                           channel_report->metrics);
-        addPhyCounters(channel_report->counters, rig.counterPrefix(),
-                       report);
+    int
+    remoteLoaders(const ScenarioInfo &sc) const override
+    {
+        return sc.remoteLoaders;
     }
-    return report;
+
+    void
+    prepare(VectorRun &run) override
+    {
+        phyPrepareSession(s_, run.cfg, run.payload, run.cal);
+    }
+
+    Task
+    trojanTask(ThreadApi api, VectorRun &run) override
+    {
+        return phyTrojanBody(api, *run.rig.crew,
+                             run.rig.shared.trojanVa, s_, run.trojan);
+    }
+
+    Task
+    spyTask(ThreadApi api, VectorRun &run) override
+    {
+        return phySpyBody(api, run.rig.shared.spyVa, s_, run.spy);
+    }
+
+    void
+    finish(VectorRun &run, ChannelReport &ch, CounterRegistry &counters,
+           SessionReport &out) override
+    {
+        const TimingParams &timing = run.cfg.system.timing;
+        out.phy = phyFinalizeSession(s_, run.payload, timing,
+                                     run.rig.machine.sched.now());
+        out.phy.completed = ch.completed;
+        ch.received = out.phy.delivered;
+        ch.metrics = phyChannelMetrics(out.phy, s_, run.trojan,
+                                       run.payload, timing);
+        addChannelCounters(counters, run.rig.counterPrefix(),
+                           ch.metrics);
+        addPhyCounters(counters, run.rig.counterPrefix(), out.phy);
+    }
+
+  private:
+    PhySession s_;
+};
+
+} // namespace
+
+std::unique_ptr<PairLink>
+makePhyLink()
+{
+    return std::make_unique<PhyLink>();
 }
 
 } // namespace csim

@@ -12,22 +12,18 @@
  * operating point sustains — the trade the adaptive controller
  * navigates (src/phy/adaptive.hh).
  *
- * The coroutine bodies and the session state are public so the fleet
- * orchestrator can run one PHY session per co-resident pair on its
- * shared machine, exactly like the single-pair driver below does on
- * an owned one.
+ * The stack runs as the session's phy link (channel/session.hh,
+ * LinkKind::phy) on a single pair; its coroutine bodies and session
+ * state are private to the link.
  */
 
 #ifndef COHERSIM_PHY_PHY_CHANNEL_HH
 #define COHERSIM_PHY_PHY_CHANNEL_HH
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
-#include "channel/channel.hh"
 #include "common/bit_string.hh"
-#include "phy/frame.hh"
+#include "common/types.hh"
 #include "phy/phy_config.hh"
 
 namespace csim
@@ -76,110 +72,6 @@ struct PhyReport
     PhyStageStats stages;
     bool completed = false;
 };
-
-/**
- * State one PHY session's two coroutines share, plus everything they
- * record. Fill with phyPrepareSession(), hand to the bodies, then
- * harvest with phyFinalizeSession(). The scenario/calibration
- * pointers are non-owning and must outlive the run.
- */
-struct PhySession
-{
-    const ScenarioInfo *scenario = nullptr;
-    const CalibrationResult *cal = nullptr;
-    ChannelParams params;   //!< post-adaptive operating parameters
-    PhyConfig phy;          //!< post-adaptive profile and knobs
-    Tick period = 0;        //!< nominal sample period under params
-    std::vector<BitString> frames;  //!< wire frames to transmit
-
-    /** @name Adaptive-controller evidence (zero when disabled) */
-    /** @{ */
-    double rateKbps = 0.0;
-    double bandSeparation = 0.0;
-    /** @} */
-
-    /** @name Live coroutine state */
-    /** @{ */
-    bool trojanDone = false;
-    Tick sessionStart = 0;  //!< sync end (payload clock starts)
-    Tick trojanEnd = 0;
-    /** @} */
-
-    /** @name Outputs */
-    /** @{ */
-    TrojanResult trojan;
-    SpyResult spy;  //!< bits = demapped wire bits, for diagnostics
-    /**
-     * Accepted frame chunks keyed by *absolute* frame index,
-     * unwrapped from the 4-bit sequence numbers: a lost frame
-     * leaves a gap (an erasure) instead of shifting every later
-     * chunk's position.
-     */
-    std::vector<std::pair<std::size_t, BitString>> accepted;
-    PhyStageStats stages;
-    std::uint64_t rawBitsSent = 0;
-    /** @} */
-};
-
-/**
- * Resolve the operating point (running the adaptive controller when
- * cfg.phy.adaptive) and pre-encode the payload into wire frames.
- */
-void phyPrepareSession(PhySession &s, const ChannelConfig &cfg,
-                       const BitString &payload,
-                       const CalibrationResult &cal);
-
-/** Trojan controller: sync handshake, then one burst per frame. */
-Task phyTrojanBody(ThreadApi api, PlacerCrew &crew, VAddr block,
-                   PhySession &s);
-
-/**
- * Spy: sample, soft-demap, hunt for preambles, decode headers and
- * FEC-protected bodies until the trojan falls silent.
- */
-Task phySpyBody(ThreadApi api, VAddr block, PhySession &s);
-
-/**
- * Harvest the session into a report. @p fallback_end bounds the
- * duration when the trojan never finished (timeout).
- */
-PhyReport phyFinalizeSession(const PhySession &s,
-                             const BitString &payload,
-                             const TimingParams &timing,
-                             Tick fallback_end);
-
-/**
- * Map a finished session onto the common ChannelMetrics: accuracy
- * and effective/payload rates are payload-level, rawKbps is the wire
- * rate (so the FEC expansion factor stays visible).
- */
-ChannelMetrics phyChannelMetrics(const PhyReport &report,
-                                 const PhySession &s,
-                                 const BitString &payload,
-                                 const TimingParams &timing);
-
-/**
- * Publish the per-stage counters into @p reg under
- * `<prefix>ch.phy.*`, next to the common `<prefix>ch.*` set.
- */
-void addPhyCounters(CounterRegistry &reg, const std::string &prefix,
-                    const PhyReport &report);
-
-/**
- * Run one complete PHY-profile covert transmission (the single-pair
- * path; the fleet orchestrator drives the pieces itself).
- *
- * @param cfg experiment configuration; cfg.phy selects the stack.
- * @param payload bits the trojan exfiltrates.
- * @param cal pre-computed calibration to reuse across a sweep.
- * @param channel_report when non-null, also filled with the common
- *        ChannelReport view (metrics, counters, trojan/spy results)
- *        so runCovertTransmission can dispatch here transparently.
- */
-PhyReport runPhyTransmission(const ChannelConfig &cfg,
-                             const BitString &payload,
-                             const CalibrationResult *cal = nullptr,
-                             ChannelReport *channel_report = nullptr);
 
 } // namespace csim
 

@@ -12,7 +12,7 @@
 #include <cstdio>
 #include <fstream>
 
-#include "channel/channel.hh"
+#include "channel/session.hh"
 #include "config/presets.hh"
 #include "config/resolver.hh"
 #include "os/kernel.hh"
@@ -526,10 +526,13 @@ TEST(Presets, PresetTransmissionMatchesManualSetup)
     ExperimentSpec manual = preset_spec;
     manual.channel.scenario = Scenario::rexcC_lexB;
 
-    const ChannelReport a = runCovertTransmission(
-        preset_spec.toChannelConfig(), preset_spec.makePayload());
-    const ChannelReport b = runCovertTransmission(
-        manual.toChannelConfig(), manual.makePayload());
+    const ChannelReport a =
+        runSession(preset_spec.toChannelConfig(),
+                   preset_spec.makePayload())
+            .channel;
+    const ChannelReport b =
+        runSession(manual.toChannelConfig(), manual.makePayload())
+            .channel;
     EXPECT_EQ(a.received, b.received);
     EXPECT_EQ(a.metrics.durationCycles, b.metrics.durationCycles);
 }

@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "channel/channel.hh"
+#include "channel/session.hh"
 #include "detect/cchunter.hh"
 
 namespace csim
@@ -135,38 +135,18 @@ TEST(DetectorEndToEnd, FlagsTheCovertChannel)
     cfg.scenario = Scenario::rexcC_lshB;
     const CalibrationResult cal = calibrate(cfg.system, 300);
 
-    const ScenarioInfo &scenario = scenarioInfo(cfg.scenario);
-    ExperimentRig rig(cfg, scenario.localLoaders,
-                      scenario.remoteLoaders, scenario.csc);
     CoherenceChannelDetector detector;
-    detector.attach(rig.machine.mem.trace());
-
+    cfg.detector = &detector;
     Rng rng(4);
     const BitString payload = randomBits(rng, 60);
-    TrojanResult trojan;
-    SpyResult spy;
-    rig.machine.kernel.spawnThread(
-        rig.machine.sched, "trojan.ctl", rig.plan.controller,
-        *rig.trojanProc, [&](ThreadApi api) {
-            return trojanBody(api, *rig.crew, rig.shared.trojanVa,
-                              scenario, cal, cfg.params,
-                              cfg.system.timing, payload, trojan);
-        });
-    SimThread *spy_thread = rig.machine.kernel.spawnThread(
-        rig.machine.sched, "spy", rig.plan.spy, *rig.spyProc,
-        [&](ThreadApi api) {
-            return spyBody(api, rig.shared.spyVa, scenario, cal,
-                           cfg.params, spy, false);
-        });
-    rig.machine.sched.runUntilFinished(spy_thread, cfg.timeout);
-    rig.crew->stopAll();
+    const ChannelReport rep = runSession(cfg, payload, &cal).channel;
 
     EXPECT_TRUE(detector.anySuspicious());
     const LineVerdict v =
-        detector.verdict(lineAlign(rig.shared.paddr));
+        detector.verdict(lineAlign(rep.shared.paddr));
     EXPECT_TRUE(v.suspicious);
     // Detection happened well before the transmission finished.
-    EXPECT_LT(v.flaggedAt, trojan.txEnd);
+    EXPECT_LT(v.flaggedAt, rep.trojan.txEnd);
     EXPECT_GT(detector.eventsObserved(), 1'000u);
 }
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "channel/ecc.hh"
+#include "channel/session.hh"
 
 namespace csim
 {
@@ -124,7 +125,7 @@ TEST(EccSession, DeliversPayloadWithoutNoise)
     ChannelConfig cfg = baseConfig();
     const BitString payload = someData(7, 1024);
     const EccReport report =
-        runEccTransmission(cfg, payload, {}, &sharedCal());
+        runSession({cfg, LinkKind::ecc}, payload, &sharedCal()).ecc;
     EXPECT_TRUE(report.completed);
     EXPECT_EQ(report.packets, 2);
     EXPECT_EQ(report.residualErrors, 0u);
@@ -138,7 +139,7 @@ TEST(EccSession, ShortPayloadIsPadded)
     ChannelConfig cfg = baseConfig();
     const BitString payload = someData(8, 100);
     const EccReport report =
-        runEccTransmission(cfg, payload, {}, &sharedCal());
+        runSession({cfg, LinkKind::ecc}, payload, &sharedCal()).ecc;
     EXPECT_EQ(report.packets, 1);
     EXPECT_EQ(report.residualErrors, 0u);
     EXPECT_EQ(report.delivered.size(), 100u);
@@ -151,7 +152,7 @@ TEST(EccSession, RecoversUnderMediumNoise)
     cfg.noiseThreads = 4;
     const BitString payload = someData(9, 1024);
     const EccReport report =
-        runEccTransmission(cfg, payload, {}, &sharedCal());
+        runSession({cfg, LinkKind::ecc}, payload, &sharedCal()).ecc;
     EXPECT_TRUE(report.completed);
     // Per-chunk parity misses an even number of flips within one
     // 32-bit chunk (see PacketCodec.DoubleFlipInOneChunkEscapesParity)
@@ -167,10 +168,10 @@ TEST(EccSession, NoiseCostsThroughput)
     ChannelConfig cfg = baseConfig();
     const BitString payload = someData(10, 1024);
     const EccReport quiet =
-        runEccTransmission(cfg, payload, {}, &sharedCal());
+        runSession({cfg, LinkKind::ecc}, payload, &sharedCal()).ecc;
     cfg.noiseThreads = 4;
     const EccReport noisy =
-        runEccTransmission(cfg, payload, {}, &sharedCal());
+        runSession({cfg, LinkKind::ecc}, payload, &sharedCal()).ecc;
     EXPECT_EQ(quiet.residualErrors, 0u);
     // Under noise a rare even-flip-per-chunk corruption can escape
     // the parity check (see DoubleFlipInOneChunkEscapesParity).

@@ -20,7 +20,7 @@ namespace
 {
 
 /** The fleet-quick preset shrunk to test size (fast, completing). */
-FleetConfig
+SessionConfig
 quickFleet(int pairs)
 {
     ConfigResolver res;
@@ -29,7 +29,7 @@ quickFleet(int pairs)
     spec.fleet.pairs = pairs;
     spec.fleet.noiseAgents = 0;
     spec.payload.bits = 32;
-    return spec.toFleetConfig();
+    return spec.toFleetSession();
 }
 
 TEST(ContentionTimeout, FactorIsExactlyOneWithoutContention)
@@ -101,9 +101,9 @@ TEST(FleetCorePlanTest, BlocksAreDisjointUntilTheyWrap)
 
 TEST(FleetRun, IsDeterministic)
 {
-    const FleetConfig cfg = quickFleet(2);
-    const FleetReport a = runFleet(cfg);
-    const FleetReport b = runFleet(cfg);
+    const SessionConfig cfg = quickFleet(2);
+    const FleetReport a = runSession(cfg, {}).fleet;
+    const FleetReport b = runSession(cfg, {}).fleet;
     ASSERT_EQ(a.pairs.size(), b.pairs.size());
     EXPECT_EQ(a.durationCycles, b.durationCycles);
     for (std::size_t i = 0; i < a.pairs.size(); ++i) {
@@ -127,7 +127,7 @@ TEST(FleetRun, BitIdenticalAcrossRunnerWorkerCounts)
         std::vector<std::function<FleetReport()>> jobs;
         for (const int pairs : {1, 2, 3})
             jobs.push_back(
-                [pairs] { return runFleet(quickFleet(pairs)); });
+                [pairs] { return runSession(quickFleet(pairs), {}).fleet; });
         return jobs;
     };
     std::vector<std::vector<FleetReport>> results;
@@ -155,8 +155,8 @@ TEST(FleetRun, BitIdenticalAcrossRunnerWorkerCounts)
 
 TEST(FleetRun, AttributesEachPairItsOwnTraffic)
 {
-    const FleetConfig cfg = quickFleet(4);
-    const FleetReport rep = runFleet(cfg);
+    const SessionConfig cfg = quickFleet(4);
+    const FleetReport rep = runSession(cfg, {}).fleet;
     ASSERT_EQ(rep.pairs.size(), 4u);
     EXPECT_TRUE(rep.completed);
     std::vector<PAddr> lines;
@@ -171,7 +171,7 @@ TEST(FleetRun, AttributesEachPairItsOwnTraffic)
         // cross-pair mixup would score ~50% against the wrong
         // pattern. The per-pair pattern seeds also give each pair a
         // distinct physical line (no KSM cross-pair merging).
-        EXPECT_EQ(pr.sent.size(), cfg.payloadBits);
+        EXPECT_EQ(pr.sent.size(), cfg.fleet->payloadBits);
         EXPECT_GT(pr.metrics.accuracy, 0.9);
         lines.push_back(pr.sharedLine);
     }
@@ -189,7 +189,7 @@ TEST(FleetRun, NamespacesCountersPerPair)
     // The regression the namespacing fixes: two rigs on one machine
     // used to write the same counter names, so the second rig's
     // totals silently overwrote (or summed into) the first's.
-    const FleetReport rep = runFleet(quickFleet(2));
+    const FleetReport rep = runSession(quickFleet(2), {}).fleet;
     ASSERT_EQ(rep.pairs.size(), 2u);
     for (const PairReport &pr : rep.pairs) {
         const std::string prefix =
@@ -214,13 +214,13 @@ TEST(FleetRun, ScenarioMixCyclesOverPairs)
     spec.fleet.noiseAgents = 0;
     spec.fleet.scenarioMix = "1,2";
     spec.payload.bits = 16;
-    const FleetConfig cfg = spec.toFleetConfig();
-    ASSERT_EQ(cfg.scenarioMix.size(), 2u);
-    const FleetReport rep = runFleet(cfg);
+    const SessionConfig cfg = spec.toFleetSession();
+    ASSERT_EQ(cfg.fleet->scenarioMix.size(), 2u);
+    const FleetReport rep = runSession(cfg, {}).fleet;
     ASSERT_EQ(rep.pairs.size(), 3u);
-    EXPECT_EQ(rep.pairs[0].scenario, cfg.scenarioMix[0]);
-    EXPECT_EQ(rep.pairs[1].scenario, cfg.scenarioMix[1]);
-    EXPECT_EQ(rep.pairs[2].scenario, cfg.scenarioMix[0]);
+    EXPECT_EQ(rep.pairs[0].scenario, cfg.fleet->scenarioMix[0]);
+    EXPECT_EQ(rep.pairs[1].scenario, cfg.fleet->scenarioMix[1]);
+    EXPECT_EQ(rep.pairs[2].scenario, cfg.fleet->scenarioMix[0]);
 }
 
 TEST(FleetRun, LayersMachineGlobalMitigationPresets)
@@ -238,13 +238,13 @@ TEST(FleetRun, LayersMachineGlobalMitigationPresets)
         spec.fleet.pairs = 2;
         spec.fleet.noiseAgents = 0;
         spec.payload.bits = 32;
-        return spec.toFleetConfig();
+        return spec.toFleetSession();
     };
-    const FleetReport open = runFleet(fleet(nullptr));
+    const FleetReport open = runSession(fleet(nullptr), {}).fleet;
     const FleetReport noisy =
-        runFleet(fleet("mitigation-targeted-noise"));
+        runSession(fleet("mitigation-targeted-noise"), {}).fleet;
     const FleetReport guarded =
-        runFleet(fleet("mitigation-ksm-guard"));
+        runSession(fleet("mitigation-ksm-guard"), {}).fleet;
     ASSERT_EQ(open.pairs.size(), 2u);
     ASSERT_EQ(noisy.pairs.size(), 2u);
     ASSERT_EQ(guarded.pairs.size(), 2u);
@@ -260,7 +260,7 @@ TEST(FleetRun, LayersMachineGlobalMitigationPresets)
 
     // Defended fleets stay deterministic like every other path.
     const FleetReport again =
-        runFleet(fleet("mitigation-targeted-noise"));
+        runSession(fleet("mitigation-targeted-noise"), {}).fleet;
     ASSERT_EQ(again.pairs.size(), noisy.pairs.size());
     for (std::size_t i = 0; i < noisy.pairs.size(); ++i) {
         EXPECT_EQ(again.pairs[i].received, noisy.pairs[i].received);

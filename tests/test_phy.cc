@@ -10,7 +10,7 @@
 #include <algorithm>
 #include <set>
 
-#include "channel/channel.hh"
+#include "channel/session.hh"
 #include "common/random.hh"
 #include "detect/cchunter.hh"
 #include "phy/adaptive.hh"
@@ -389,7 +389,7 @@ TEST(PhyEndToEnd, SoftProfileDeliversCleanPayload)
     cfg.timeout = cfg.deriveTimeout(payload.size() * 3);
 
     const PhyReport rep =
-        runPhyTransmission(cfg, payload, &sharedCal());
+        runSession({cfg, LinkKind::phy}, payload, &sharedCal()).phy;
     EXPECT_TRUE(rep.completed);
     EXPECT_EQ(rep.residualErrors, 0u);
     EXPECT_EQ(rep.delivered, payload);
@@ -401,7 +401,7 @@ TEST(PhyEndToEnd, SoftProfileDeliversCleanPayload)
     EXPECT_DOUBLE_EQ(rep.payloadKbps, rep.effectiveKbps);
 }
 
-TEST(PhyEndToEnd, DispatchesThroughRunCovertTransmission)
+TEST(PhyEndToEnd, HammingProfileSelectsThePhyLink)
 {
     ChannelConfig cfg = baseConfig();
     cfg.params =
@@ -410,8 +410,9 @@ TEST(PhyEndToEnd, DispatchesThroughRunCovertTransmission)
     const BitString payload = randomBits(rng, 128);
     cfg.timeout = cfg.deriveTimeout(payload.size() * 3);
 
+    ASSERT_EQ(linkFor(cfg), LinkKind::phy);
     const ChannelReport rep =
-        runCovertTransmission(cfg, payload, &sharedCal());
+        runSession({cfg, linkFor(cfg)}, payload, &sharedCal()).channel;
     EXPECT_TRUE(rep.completed);
     EXPECT_EQ(rep.received, payload);
     EXPECT_DOUBLE_EQ(rep.metrics.accuracy, 1.0);
@@ -432,7 +433,7 @@ TEST(PhyEndToEnd, AdaptiveModePicksAnOperatingPoint)
     cfg.timeout = cfg.deriveTimeout(payload.size() * 3);
 
     const PhyReport rep =
-        runPhyTransmission(cfg, payload, &sharedCal());
+        runSession({cfg, LinkKind::phy}, payload, &sharedCal()).phy;
     EXPECT_TRUE(rep.completed);
     EXPECT_GT(rep.rateKbps, 0.0);
     EXPECT_NE(rep.bandSeparation, 0.0);
@@ -466,8 +467,10 @@ TEST(PhyEndToEnd, BitIdenticalAcrossWorkerCounts)
                         rate, cfg.system.timing);
                     cfg.timeout =
                         cfg.deriveTimeout(payload.size() * 3);
-                    const PhyReport rep = runPhyTransmission(
-                        cfg, payload, &sharedCal());
+                    const PhyReport rep =
+                        runSession({cfg, LinkKind::phy}, payload,
+                                   &sharedCal())
+                            .phy;
                     return Cell{bitsToString(rep.delivered),
                                 rep.residualErrors,
                                 rep.durationCycles,
@@ -506,34 +509,17 @@ TEST(PhyEndToEnd, CcHunterStillFlagsFecTraffic)
     const BitString payload = randomBits(rng, 192);
     cfg.timeout = cfg.deriveTimeout(payload.size() * 3);
 
-    PhySession session;
-    phyPrepareSession(session, cfg, payload, sharedCal());
-    ExperimentRig rig(cfg, session.scenario->localLoaders,
-                      session.scenario->remoteLoaders,
-                      session.scenario->csc);
     CoherenceChannelDetector detector;
-    detector.attach(rig.machine.mem.trace());
+    cfg.detector = &detector;
+    const SessionReport rep =
+        runSession({cfg, LinkKind::phy}, payload, &sharedCal());
 
-    rig.machine.kernel.spawnThread(
-        rig.machine.sched, "trojan.ctl", rig.plan.controller,
-        *rig.trojanProc, [&](ThreadApi api) {
-            return phyTrojanBody(api, *rig.crew,
-                                 rig.shared.trojanVa, session);
-        });
-    SimThread *spy_thread = rig.machine.kernel.spawnThread(
-        rig.machine.sched, "spy", rig.plan.spy, *rig.spyProc,
-        [&](ThreadApi api) {
-            return phySpyBody(api, rig.shared.spyVa, session);
-        });
-    rig.machine.sched.runUntilFinished(spy_thread, cfg.timeout);
-    rig.crew->stopAll();
-
-    EXPECT_TRUE(spy_thread->finished);
+    EXPECT_TRUE(rep.phy.completed);
     EXPECT_TRUE(detector.anySuspicious());
     const LineVerdict v =
-        detector.verdict(lineAlign(rig.shared.paddr));
+        detector.verdict(lineAlign(rep.channel.shared.paddr));
     EXPECT_TRUE(v.suspicious);
-    EXPECT_LT(v.flaggedAt, session.trojanEnd);
+    EXPECT_LT(v.flaggedAt, rep.channel.trojan.txEnd);
 }
 
 } // namespace

@@ -18,7 +18,7 @@
 #include <stdexcept>
 #include <thread>
 
-#include "channel/channel.hh"
+#include "channel/session.hh"
 #include "config/presets.hh"
 #include "config/resolver.hh"
 #include "runner/json_sink.hh"
@@ -221,7 +221,7 @@ TEST(ParallelSafety, ConcurrentMachinesMatchSoloRuns)
     auto run_one = [&](Scenario sc) {
         ChannelConfig c = cfg;
         c.scenario = sc;
-        return runCovertTransmission(c, payload, &cal);
+        return runSession(c, payload, &cal).channel;
     };
 
     // Solo (sequential) reference runs.
@@ -283,7 +283,7 @@ TEST(ParallelSweep, BitIdenticalAcrossWorkerCounts)
                     cfg.timeout =
                         cfg.deriveTimeout(payload.size());
                     const ChannelReport rep =
-                        runCovertTransmission(cfg, payload, &cal);
+                        runSession(cfg, payload, &cal).channel;
                     return Cell{bitsToString(rep.received),
                                 rep.metrics.accuracy,
                                 rep.metrics.rawKbps,
@@ -340,8 +340,9 @@ TEST(ParallelSweep, ConfigBuiltGridBitIdenticalAcrossWorkerCounts)
         std::vector<std::function<Cell()>> jobs;
         for (const ExperimentSpec &point : grid) {
             jobs.push_back([&point, &cal, &payload] {
-                const ChannelReport rep = runCovertTransmission(
-                    point.toChannelConfig(), payload, &cal);
+                const ChannelReport rep =
+                    runSession(point.toChannelConfig(), payload, &cal)
+                        .channel;
                 return Cell{bitsToString(rep.received),
                             rep.metrics.durationCycles,
                             rep.counters.toJson().dump()};

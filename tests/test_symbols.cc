@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "channel/session.hh"
 #include "channel/symbols.hh"
 
 namespace csim
@@ -46,7 +47,7 @@ TEST(SymbolChannel, TransmitsTwoBitsPerSymbol)
     Rng rng(11);
     const BitString payload = randomBits(rng, 120);
     const SymbolReport report =
-        runSymbolTransmission(cfg, payload, {}, &sharedCal());
+        runSession({cfg, LinkKind::symbols}, payload, &sharedCal()).symbols;
     EXPECT_TRUE(report.completed);
     EXPECT_EQ(report.sentSymbols.size(), 60u);
     EXPECT_GE(report.metrics.accuracy, 0.9);
@@ -60,7 +61,7 @@ TEST(SymbolChannel, OddPayloadIsPadded)
     ChannelConfig cfg = baseConfig();
     const BitString payload = bitsFromString("101");
     const SymbolReport report =
-        runSymbolTransmission(cfg, payload, {}, &sharedCal());
+        runSession({cfg, LinkKind::symbols}, payload, &sharedCal()).symbols;
     EXPECT_EQ(report.sent.size(), 4u);
     EXPECT_EQ(report.sentSymbols.size(), 2u);
     EXPECT_EQ(report.sentSymbols[0], 2);  // "10"
@@ -76,7 +77,7 @@ TEST(SymbolChannel, AllFourSymbolValuesSurviveTransmission)
                                       2, 0, 3, 1};
     const BitString payload = symbolsToBits(symbols, bitsPerSymbol);
     const SymbolReport report =
-        runSymbolTransmission(cfg, payload, {}, &sharedCal());
+        runSession({cfg, LinkKind::symbols}, payload, &sharedCal()).symbols;
     EXPECT_TRUE(report.completed);
     EXPECT_GE(report.metrics.accuracy, 0.9);
 }
@@ -88,9 +89,9 @@ TEST(SymbolChannel, FasterThanBinaryAtSameSamplingRate)
     Rng rng(12);
     const BitString payload = randomBits(rng, 100);
     const SymbolReport sym =
-        runSymbolTransmission(cfg, payload, {}, &sharedCal());
+        runSession({cfg, LinkKind::symbols}, payload, &sharedCal()).symbols;
     const ChannelReport bin =
-        runCovertTransmission(cfg, payload, &sharedCal());
+        runSession(cfg, payload, &sharedCal()).channel;
     EXPECT_GE(sym.metrics.accuracy, 0.9);
     EXPECT_GT(sym.metrics.rawKbps, bin.metrics.rawKbps * 1.5);
 }
@@ -102,7 +103,7 @@ TEST(SymbolChannel, CollectsTrace)
     Rng rng(13);
     const BitString payload = randomBits(rng, 36);
     const SymbolReport report =
-        runSymbolTransmission(cfg, payload, {}, &sharedCal());
+        runSession({cfg, LinkKind::symbols}, payload, &sharedCal()).symbols;
     EXPECT_FALSE(report.trace.empty());
 }
 

@@ -14,7 +14,7 @@
 #include <thread>
 #include <vector>
 
-#include "channel/channel.hh"
+#include "channel/session.hh"
 #include "runner/json_sink.hh"
 #include "trace/bus.hh"
 #include "trace/counters.hh"
@@ -347,12 +347,12 @@ TEST(EndToEnd, TracedTransmission)
 
     // Reference run without a recorder.
     const ChannelReport plain =
-        runCovertTransmission(cfg, payload, &cal);
+        runSession(cfg, payload, &cal).channel;
 
     TraceRecorder recorder;
     cfg.recorder = &recorder;
     const ChannelReport traced =
-        runCovertTransmission(cfg, payload, &cal);
+        runSession(cfg, payload, &cal).channel;
 
     // Observation must not perturb: bit-identical outcome.
     EXPECT_EQ(bitsToString(plain.received),

@@ -10,8 +10,8 @@
 
 #include <gtest/gtest.h>
 
-#include "channel/channel.hh"
 #include "channel/experiment.hh"
+#include "channel/session.hh"
 #include "channel/vector.hh"
 #include "config/experiment_spec.hh"
 #include "detect/cchunter.hh"
@@ -82,8 +82,9 @@ TEST(RunExperiment, CoherenceMatchesClassicDriver)
     ExperimentSpec spec = vectorSpec(VectorKind::coherence, 40);
     const CalibrationResult &cal = vectorCal(VectorKind::coherence);
     const ExperimentResult via_api = runExperiment(spec, &cal);
-    const ChannelReport classic = runCovertTransmission(
-        spec.toChannelConfig(), spec.makePayload(), &cal);
+    const ChannelReport classic =
+        runSession(spec.toChannelConfig(), spec.makePayload(), &cal)
+            .channel;
     EXPECT_EQ(via_api.kind, ExperimentKind::single);
     EXPECT_TRUE(via_api.completed());
     // The plugin port must not perturb the operation sequence: the

@@ -685,9 +685,11 @@ cmdEcc(const Args &args)
     const ConfigResolver res = args.resolve(
         {{"payload.message", "GUARANTEED DELIVERY"}});
     const ExperimentSpec &spec = res.spec();
-    const ChannelConfig cfg = spec.toChannelConfig();
+    spec.validateLink(LinkKind::ecc);
     const EccReport rep =
-        runEccTransmission(cfg, spec.makePayload());
+        runSession({spec.toChannelConfig(), LinkKind::ecc},
+                   spec.makePayload())
+            .ecc;
     std::cout << "packets:          " << rep.packets << "\n"
               << "retransmissions:  " << rep.retransmissions << "\n"
               << "residual errors:  " << rep.residualErrors << "\n"
@@ -710,9 +712,11 @@ cmdSymbols(const Args &args)
     const ConfigResolver res =
         args.resolve({{"payload.message", "2 BITS EACH"}});
     const ExperimentSpec &spec = res.spec();
-    const ChannelConfig cfg = spec.toChannelConfig();
+    spec.validateLink(LinkKind::symbols);
     const SymbolReport rep =
-        runSymbolTransmission(cfg, spec.makePayload());
+        runSession({spec.toChannelConfig(), LinkKind::symbols},
+                   spec.makePayload())
+            .symbols;
     std::cout << "symbols sent:     " << rep.sentSymbols.size()
               << "\n"
               << "symbols received: " << rep.receivedSymbols.size()
