@@ -294,6 +294,52 @@ TEST(ExperimentSpec, ValidatesCrossFieldConstraints)
     EXPECT_THROW(spec.validate(), ConfigError);
 }
 
+TEST(ExperimentSpec, RejectsPhySelectionOffTheCoherenceChannel)
+{
+    // The PHY stack modulates the coherence channel only; these
+    // combinations used to pass validation and abort mid-run.
+    ExperimentSpec spec;
+    spec.channel.vector = VectorKind::dirty;
+    spec.channel.phy.profile = PhyProfile::hammingSoft;
+    EXPECT_THROW(spec.validate(), ConfigError);
+
+    spec = ExperimentSpec{};
+    spec.channel.vector = VectorKind::lru;
+    spec.channel.phy.adaptive = true;
+    EXPECT_THROW(spec.validate(), ConfigError);
+}
+
+TEST(ExperimentSpec, RejectsPhySelectionOnAFleet)
+{
+    // Fleet pairs run the raw link; the PHY selection used to be
+    // dropped without a word.
+    ConfigResolver res;
+    res.applyPreset("fleet-quick");
+    res.applyOverride("phy.profile", "hamming-soft", "cli");
+    EXPECT_THROW(res.spec().validate(), ConfigError);
+}
+
+TEST(ExperimentSpec, EccAndSymbolLinksRejectWhatTheyWouldIgnore)
+{
+    // `cohersim ecc` and `cohersim symbols` run one coherence pair
+    // through their own link; a vector, fleet or PHY selection used
+    // to be ignored (or, for the vector, to move the shared line).
+    for (const LinkKind link : {LinkKind::ecc, LinkKind::symbols}) {
+        ExperimentSpec spec;
+        EXPECT_NO_THROW(spec.validateLink(link));
+        spec.channel.vector = VectorKind::lru;
+        EXPECT_THROW(spec.validateLink(link), ConfigError);
+
+        spec = ExperimentSpec{};
+        spec.fleet.pairs = 3;
+        EXPECT_THROW(spec.validateLink(link), ConfigError);
+
+        spec = ExperimentSpec{};
+        spec.channel.phy.profile = PhyProfile::hammingHard;
+        EXPECT_THROW(spec.validateLink(link), ConfigError);
+    }
+}
+
 TEST(ExperimentSpec, DerivesChannelConfigFromRate)
 {
     ExperimentSpec spec;
@@ -308,7 +354,7 @@ TEST(ExperimentSpec, DerivesChannelConfigFromRate)
     EXPECT_EQ(cfg.timeout,
               cfg.deriveTimeout(100, 10.0));
     // The defence flag routes into the timing model downstream, not
-    // in toChannelConfig (runCovertTransmission applies it).
+    // in toChannelConfig (runSession applies it).
     EXPECT_EQ(cfg.defense, Defense::none);
 }
 

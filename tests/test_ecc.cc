@@ -146,6 +146,22 @@ TEST(EccSession, ShortPayloadIsPadded)
     EXPECT_EQ(report.delivered, payload);
 }
 
+TEST(EccSession, LlcNotifyDefenseDefeatsTheChannel)
+{
+    // The §VIII-E hardware fix is a timing-model change every link
+    // must see: once the LLC serves E-state reads itself, the
+    // LExclc-LSharedb trojan's exclusive and shared phases time
+    // alike and no packet decodes, retransmissions or not.
+    ChannelConfig cfg = baseConfig();
+    cfg.scenario = Scenario::lexcC_lshB;
+    cfg.defense = Defense::llcNotify;
+    const BitString payload = someData(11, 152);
+    const EccReport report =
+        runSession({cfg, LinkKind::ecc}, payload).ecc;
+    EXPECT_GT(report.residualErrors, 0u);
+    EXPECT_NE(report.delivered, payload);
+}
+
 TEST(EccSession, RecoversUnderMediumNoise)
 {
     ChannelConfig cfg = baseConfig();

@@ -56,6 +56,20 @@ TEST(SymbolChannel, TransmitsTwoBitsPerSymbol)
                 60.0, 6.0);
 }
 
+TEST(SymbolChannel, LlcNotifyDefenseBlursLocalSymbols)
+{
+    // With the LLC serving E-state reads itself, a local exclusive
+    // copy times like a local shared one, so the symbols those two
+    // combinations encode blur into each other.
+    ChannelConfig cfg = baseConfig();
+    cfg.defense = Defense::llcNotify;
+    Rng rng(11);
+    const BitString payload = randomBits(rng, 120);
+    const SymbolReport report =
+        runSession({cfg, LinkKind::symbols}, payload).symbols;
+    EXPECT_LT(report.metrics.accuracy, 0.9);
+}
+
 TEST(SymbolChannel, OddPayloadIsPadded)
 {
     ChannelConfig cfg = baseConfig();
