@@ -40,33 +40,45 @@ ChannelConfig::deriveTimeout(std::size_t payload_bits,
 CorePlan
 CorePlan::standard(const SystemConfig &sys)
 {
+    return fleetCorePlan(sys, 0);
+}
+
+CorePlan
+fleetCorePlan(const SystemConfig &sys, int k)
+{
     fatal_if(sys.sockets < 2,
              "the covert-channel experiments need two sockets");
     fatal_if(sys.coresPerSocket < 4,
              "the covert-channel experiments need >= 4 cores per "
              "socket");
     CorePlan plan;
-    plan.spy = sys.coreOf(0, 0);
-    plan.controller = sys.coreOf(0, 3);
-    plan.localLoaders = {sys.coreOf(0, 1), sys.coreOf(0, 2)};
-    plan.remoteLoaders = {sys.coreOf(1, 0), sys.coreOf(1, 1)};
-    // Noise floats over the cores the attack threads do not occupy
-    // (the OS balances unpinned kernel-build jobs onto free cores);
-    // beyond six threads the noise cores double up. The channel is
-    // then degraded through memory-system contention, the mechanism
-    // the paper identifies (§VIII-C), not through outright
-    // starvation of pinned attack threads.
+    // Whole 4-core blocks keep a pair's own threads off each other's
+    // cores: pairs within the socket's block budget get disjoint
+    // attack cores (contending only through the shared uncore, the
+    // interesting regime), later pairs wrap around and oversubscribe.
+    const int off = (k % (sys.coresPerSocket / 4)) * 4;
+    plan.spy = sys.coreOf(0, off);
+    plan.controller = sys.coreOf(0, off + 3);
+    plan.localLoaders = {sys.coreOf(0, off + 1),
+                         sys.coreOf(0, off + 2)};
+    const int roff = (k % (sys.coresPerSocket / 2)) * 2;
+    plan.remoteLoaders = {sys.coreOf(1, roff),
+                          sys.coreOf(1, roff + 1)};
+    // Noise floats over the cores pair 0's attack threads do not
+    // occupy (the OS balances unpinned kernel-build jobs onto free
+    // cores), so the channel degrades through memory-system
+    // contention, the mechanism the paper identifies (§VIII-C), not
+    // through starvation of pinned attack threads. Other pairs'
+    // blocks overlap it: co-tenant load ignores anyone's pinning.
+    // Beyond six threads the noise cores double up; the agents are
+    // duty-cycled, so two per core nearly double that core's memory
+    // traffic, pushing the uncore queue, DRAM channel and QPI link
+    // towards saturation — why 8 co-located kernel-build jobs
+    // visibly disturb every attack variant in the paper.
     for (int i = 4; i < sys.coresPerSocket; ++i)
         plan.noise.push_back(sys.coreOf(0, i));
     for (int i = 2; i < sys.coresPerSocket; ++i)
         plan.noise.push_back(sys.coreOf(1, i));
-    // Beyond six threads the noise cores double up; because the
-    // agents are duty-cycled (they block on I/O between bursts), two
-    // agents per core nearly double that core's memory traffic,
-    // pushing the shared uncore queue, DRAM channel and QPI link
-    // towards saturation — the paper's observation that 8 co-located
-    // kernel-build jobs visibly disturb every attack variant
-    // (§VIII-C).
     return plan;
 }
 
@@ -128,15 +140,13 @@ void
 ExperimentRig::spawnCrew(const ChannelConfig &cfg, int n_local,
                          int n_remote)
 {
-    const std::vector<CoreId> local_cores(
-        plan.localLoaders.begin(),
-        plan.localLoaders.begin() + n_local);
-    const std::vector<CoreId> remote_cores(
-        plan.remoteLoaders.begin(),
-        plan.remoteLoaders.begin() + n_remote);
-    crew = std::make_unique<PlacerCrew>(machine.kernel, machine.sched,
-                                        *trojanProc, local_cores,
-                                        remote_cores, cfg.params);
+    using Cores = std::vector<CoreId>;
+    crew = std::make_unique<PlacerCrew>(
+        machine.kernel, machine.sched, *trojanProc,
+        Cores(plan.localLoaders.begin(), plan.localLoaders.begin() + n_local),
+        Cores(plan.remoteLoaders.begin(),
+              plan.remoteLoaders.begin() + n_remote),
+        cfg.params);
 }
 
 std::string

@@ -200,6 +200,16 @@ struct CorePlan
 };
 
 /**
+ * Core plan of pair @p k: 4-core blocks on socket 0 (spy, both local
+ * loaders, controller) and 2-core blocks on socket 1 (remote
+ * loaders), wrapping around once the socket is full — fleet pairs
+ * beyond the core budget oversubscribe attack cores and contend
+ * through preemption, smaller fleets contend through the shared
+ * uncore only. Pair 0's plan is CorePlan::standard.
+ */
+CorePlan fleetCorePlan(const SystemConfig &sys, int k);
+
+/**
  * One trojan/spy pair's rig on a machine the session owns: the
  * pair's processes, shared block and the trojan's loader crew. The
  * session owns everything machine-wide — bus subscribers, noise

@@ -71,96 +71,166 @@ decodePacket(const BitString &bits)
 namespace
 {
 
-/** Link-side state shared by the two coroutines. */
-struct SessionState
+/** Parity + NACK retransmission as one pair's link. */
+class EccLink final : public PairLink
 {
-    bool trojanDone = false;
-    Tick trojanEnd = 0;
-    Tick sessionStart = 0;
+  public:
+    explicit EccLink(const EccParams &ecc) : ecc_(ecc) {}
+
+    void
+    prepare(VectorRun &run) override
+    {
+        // Split into 512-bit packets, zero-padding the last one.
+        const BitString &payload = run.payload;
+        for (std::size_t off = 0; off < payload.size();
+             off += packetDataBits) {
+            BitString data(
+                payload.begin() + static_cast<std::ptrdiff_t>(off),
+                payload.begin() +
+                    static_cast<std::ptrdiff_t>(std::min(
+                        off + packetDataBits, payload.size())));
+            data.resize(packetDataBits, 0);
+            packets_.push_back(encodePacket(
+                static_cast<std::uint8_t>(packets_.size() & 0xff),
+                data));
+        }
+        report_.payloadBits = payload.size();
+        report_.packets = static_cast<int>(packets_.size());
+        period_ = run.cfg.params.nominalSamplePeriod(
+            run.cfg.system.timing);
+    }
+
+    Task trojanTask(ThreadApi api, VectorRun &run) override;
+    Task spyTask(ThreadApi api, VectorRun &run) override;
+
+    bool
+    trojanEnds() const override
+    {
+        return true;
+    }
+
+    void
+    finish(VectorRun &run, ChannelReport &ch, CounterRegistry &,
+           SessionReport &out) override
+    {
+        EccReport &report = out.ecc;
+        report = std::move(report_);
+        report.completed = ch.completed;
+        // Reassemble and truncate to the payload length.
+        const BitString &payload = run.payload;
+        for (const BitString &data : accepted_) {
+            report.delivered.insert(report.delivered.end(),
+                                    data.begin(), data.end());
+        }
+        if (report.delivered.size() > payload.size())
+            report.delivered.resize(payload.size());
+        for (std::size_t i = 0; i < payload.size(); ++i) {
+            if (i >= report.delivered.size() ||
+                report.delivered[i] != payload[i])
+                ++report.residualErrors;
+        }
+        report.durationCycles =
+            trojanEnd_ > sessionStart_ ? trojanEnd_ - sessionStart_ : 0;
+        const TimingParams &timing = run.cfg.system.timing;
+        report.effectiveKbps =
+            timing.kbps(report.payloadBits, report.durationCycles);
+        report.payloadKbps = timing.kbps(
+            report.payloadBits -
+                std::min<std::uint64_t>(report.residualErrors,
+                                        report.payloadBits),
+            report.durationCycles);
+    }
+
+  private:
+    EccParams ecc_;
+    Tick period_ = 0;
+    std::vector<BitString> packets_;
+    /** Counts the trojan keeps while the session runs. */
+    EccReport report_;
+    std::vector<BitString> accepted_;
+    bool trojanDone_ = false;
+    Tick sessionStart_ = 0;  //!< sync end (payload clock starts)
+    Tick trojanEnd_ = 0;
 };
 
 Task
-eccTrojanBody(ThreadApi api, PlacerCrew &crew, VAddr block,
-              const ScenarioInfo &scenario,
-              const CalibrationResult &cal, const ChannelParams &params,
-              const EccParams &ecc, Tick period,
-              const std::vector<BitString> &packets, EccReport &report,
-              SessionState &state, TrojanResult &sync)
+EccLink::trojanTask(ThreadApi api, VectorRun &run)
 {
-    co_await trojanSyncPhase(api, block, cal, params, sync);
-    state.sessionStart = api.now();
-    const double cached_threshold = cal.dramBand.lo - 2.0;
+    PlacerCrew &crew = *run.rig.crew;
+    const VAddr block = run.rig.shared.trojanVa;
+    const ChannelParams &params = run.cfg.params;
+    co_await trojanSyncPhase(api, block, run.cal, params, run.trojan);
+    sessionStart_ = api.now();
+    const double cached_threshold = run.cal.dramBand.lo - 2.0;
 
-    for (const BitString &packet : packets) {
+    for (const BitString &packet : packets_) {
         int attempts = 0;
         for (;;) {
             TrojanResult tr;
-            co_await trojanTransmit(api, crew, block, scenario,
-                                    params, period, packet, tr);
-            report.rawBitsSent += packet.size();
+            co_await trojanTransmit(api, crew, block, run.scenario,
+                                    params, period_, packet, tr);
+            report_.rawBitsSent += packet.size();
             // Let the spy run into its end-of-packet detection.
             co_await api.spinUntil(
                 tr.txEnd +
-                static_cast<Tick>(params.endN + 2) * period);
+                static_cast<Tick>(params.endN + 2) * period_);
             // Acknowledgement window: probe whether the spy is
             // holding B cached (its NACK signal).
             int cached = 0;
-            for (int i = 0; i < ecc.ackSamples; ++i) {
+            for (int i = 0; i < ecc_.ackSamples; ++i) {
                 co_await api.flush(block);
                 co_await api.spin(params.ts);
                 const Tick lat = co_await api.load(block);
                 if (static_cast<double>(lat) < cached_threshold)
                     ++cached;
             }
-            const bool nack = cached >= ecc.nackThreshold;
+            const bool nack = cached >= ecc_.nackThreshold;
             if (nack) {
-                ++report.nacks;
+                ++report_.nacks;
                 chEvent(api, TraceEventType::chNack,
                         static_cast<std::uint64_t>(attempts + 1));
             }
             // Settle before the next lead-in so the spy is back in
             // its wait-for-start phase.
-            co_await api.spin(3 * period);
+            co_await api.spin(3 * period_);
             if (!nack)
                 break;
-            ++report.retransmissions;
+            ++report_.retransmissions;
             chEvent(api, TraceEventType::chRetransmit,
-                    report.rawBitsSent / packetTotalBits);
-            if (++attempts > ecc.maxRetries) {
+                    report_.rawBitsSent / packetTotalBits);
+            if (++attempts > ecc_.maxRetries) {
                 chEvent(api, TraceEventType::chRetransmitExhausted,
                         static_cast<std::uint64_t>(attempts - 1));
                 warn("ecc: giving up on a packet after ",
-                     ecc.maxRetries, " retries");
+                     ecc_.maxRetries, " retries");
                 break;
             }
         }
     }
     crew.idle();
-    state.trojanDone = true;
-    state.trojanEnd = api.now();
+    trojanDone_ = true;
+    trojanEnd_ = api.now();
 }
 
 Task
-eccSpyBody(ThreadApi api, VAddr block, const ScenarioInfo &scenario,
-           const CalibrationResult &cal, const ChannelParams &params,
-           const EccParams &ecc, Tick period, int expected_packets,
-           std::vector<BitString> &accepted, SessionState &state)
+EccLink::spyTask(ThreadApi api, VectorRun &run)
 {
-    LatencyBand tc = cal.band(scenario.csc);
-    LatencyBand tb = cal.band(scenario.csb);
-    LatencyBand dram = cal.dramBand;
+    const VAddr block = run.rig.shared.spyVa;
+    const ChannelParams &params = run.cfg.params;
+    LatencyBand tc = run.cal.band(run.scenario.csc);
+    LatencyBand tb = run.cal.band(run.scenario.csb);
+    LatencyBand dram = run.cal.dramBand;
     {
         std::vector<LatencyBand *> used = {&tc, &tb, &dram};
         claimGaps(used, params.gapClaim);
     }
     int last_seq = -1;
 
-    while (static_cast<int>(accepted.size()) < expected_packets &&
-           !state.trojanDone) {
+    while (accepted_.size() < packets_.size() && !trojanDone_) {
         // Wait for the packet lead-in boundary.
         int consecutive_tb = 0;
         bool started = false;
-        while (!started && !state.trojanDone) {
+        while (!started && !trojanDone_) {
             co_await api.flush(block);
             co_await api.spin(params.ts);
             const Tick lat = co_await api.load(block);
@@ -207,19 +277,19 @@ eccSpyBody(ThreadApi api, VAddr block, const ScenarioInfo &scenario,
         const auto decoded = decodePacket(bits);
         if (decoded) {
             if (static_cast<int>(decoded->first) != last_seq) {
-                accepted.push_back(decoded->second);
+                accepted_.push_back(decoded->second);
                 last_seq = decoded->first;
                 chEvent(api, TraceEventType::chPacketAccepted,
                         decoded->first);
             }
             // ACK (no NACK): stay quiet through the trojan's window.
             co_await api.spin(
-                static_cast<Tick>(ecc.ackSamples + 2) * period);
+                static_cast<Tick>(ecc_.ackSamples + 2) * period_);
         } else {
             // NACK: keep B cached while the trojan probes.
             const Tick until =
                 api.now() +
-                static_cast<Tick>(ecc.ackSamples + 4) * period;
+                static_cast<Tick>(ecc_.ackSamples + 4) * period_;
             while (api.now() < until) {
                 co_await api.load(block);
                 co_await api.spin(params.helperGap);
@@ -227,114 +297,6 @@ eccSpyBody(ThreadApi api, VAddr block, const ScenarioInfo &scenario,
         }
     }
 }
-
-/** Parity + NACK retransmission as one pair's link. */
-class EccLink final : public PairLink
-{
-  public:
-    explicit EccLink(const EccParams &ecc) : ecc_(ecc) {}
-
-    int
-    localLoaders(const ScenarioInfo &sc) const override
-    {
-        return sc.localLoaders;
-    }
-
-    int
-    remoteLoaders(const ScenarioInfo &sc) const override
-    {
-        return sc.remoteLoaders;
-    }
-
-    void
-    prepare(VectorRun &run) override
-    {
-        // Split into 512-bit packets, zero-padding the last one.
-        const BitString &payload = run.payload;
-        for (std::size_t off = 0; off < payload.size();
-             off += packetDataBits) {
-            BitString data(
-                payload.begin() + static_cast<std::ptrdiff_t>(off),
-                payload.begin() +
-                    static_cast<std::ptrdiff_t>(std::min(
-                        off + packetDataBits, payload.size())));
-            data.resize(packetDataBits, 0);
-            packets_.push_back(encodePacket(
-                static_cast<std::uint8_t>(packets_.size() & 0xff),
-                data));
-        }
-        report_.payloadBits = payload.size();
-        report_.packets = static_cast<int>(packets_.size());
-        period_ = run.cfg.params.nominalSamplePeriod(
-            run.cfg.system.timing);
-    }
-
-    Task
-    trojanTask(ThreadApi api, VectorRun &run) override
-    {
-        return eccTrojanBody(api, *run.rig.crew,
-                             run.rig.shared.trojanVa, run.scenario,
-                             run.cal, run.cfg.params, ecc_, period_,
-                             packets_, report_, state_, run.trojan);
-    }
-
-    Task
-    spyTask(ThreadApi api, VectorRun &run) override
-    {
-        return eccSpyBody(api, run.rig.shared.spyVa, run.scenario,
-                          run.cal, run.cfg.params, ecc_, period_,
-                          static_cast<int>(packets_.size()),
-                          accepted_, state_);
-    }
-
-    bool
-    trojanEnds() const override
-    {
-        return true;
-    }
-
-    void
-    finish(VectorRun &run, ChannelReport &ch, CounterRegistry &,
-           SessionReport &out) override
-    {
-        EccReport &report = out.ecc;
-        report = std::move(report_);
-        report.completed = ch.completed;
-        // Reassemble and truncate to the payload length.
-        const BitString &payload = run.payload;
-        for (const BitString &data : accepted_) {
-            report.delivered.insert(report.delivered.end(),
-                                    data.begin(), data.end());
-        }
-        if (report.delivered.size() > payload.size())
-            report.delivered.resize(payload.size());
-        for (std::size_t i = 0; i < payload.size(); ++i) {
-            if (i >= report.delivered.size() ||
-                report.delivered[i] != payload[i])
-                ++report.residualErrors;
-        }
-        report.durationCycles =
-            state_.trojanEnd > state_.sessionStart
-                ? state_.trojanEnd - state_.sessionStart
-                : 0;
-        const TimingParams &timing = run.cfg.system.timing;
-        report.effectiveKbps =
-            timing.kbps(report.payloadBits, report.durationCycles);
-        report.payloadKbps = timing.kbps(
-            report.payloadBits -
-                std::min<std::uint64_t>(report.residualErrors,
-                                        report.payloadBits),
-            report.durationCycles);
-    }
-
-  private:
-    EccParams ecc_;
-    Tick period_ = 0;
-    std::vector<BitString> packets_;
-    EccReport report_;
-    SessionState state_;
-    std::vector<BitString> accepted_;
-};
 
 } // namespace
 

@@ -28,8 +28,6 @@ enum class ExperimentKind : std::uint8_t
     fleet,   //!< N concurrent pairs on one machine
 };
 
-const char *experimentKindName(ExperimentKind k);
-
 /**
  * Everything one dispatched experiment produced. Exactly one branch
  * is authoritative, named by @ref kind; the others stay

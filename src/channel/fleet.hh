@@ -109,16 +109,6 @@ struct FleetReport
     Tick durationCycles = 0;
 };
 
-/**
- * Core plan of fleet pair @p k: 4-core blocks on socket 0 (spy,
- * both local loaders, controller) and 2-core blocks on socket 1
- * (remote loaders), wrapping around once the socket is full — pairs
- * beyond the core budget oversubscribe attack cores and contend
- * through preemption, smaller fleets contend through the shared
- * uncore only. Pair 0's plan equals CorePlan::standard.
- */
-CorePlan fleetCorePlan(const SystemConfig &sys, int k);
-
 } // namespace csim
 
 #endif // COHERSIM_CHANNEL_FLEET_HH

@@ -107,10 +107,10 @@ struct SessionReport
 /**
  * Run one session.
  *
- * @param cfg what to run; the channel is validated against the link
- *        (non-raw links ride the coherence vector, a fleet runs the
- *        raw link, and the raw link refuses a PHY selection it would
- *        otherwise ignore).
+ * @param cfg what to run. Non-raw links run one coherence-vector
+ *        pair, and the raw link refuses a PHY selection it would
+ *        ignore (ExperimentSpec::validateLink reports the same as a
+ *        ConfigError).
  * @param payload bits pair 0 transmits; a fleet derives its pairs'
  *        payloads from the seed and ignores it.
  * @param cal pre-computed calibration to reuse across a sweep;
@@ -119,62 +119,6 @@ struct SessionReport
 SessionReport runSession(const SessionConfig &cfg,
                          const BitString &payload,
                          const CalibrationResult *cal = nullptr);
-
-/**
- * One pair's link: what its trojan and spy bodies are and how a
- * finished pair is harvested. Instances are created per pair, so a
- * link may keep per-pair state. The VectorRun handed to every hook
- * is the pair's context; its trojan/spy results are the pair's
- * ChannelReport fields.
- */
-class PairLink
-{
-  public:
-    virtual ~PairLink() = default;
-
-    /** Loader threads the trojan drives on the spy's socket. */
-    virtual int localLoaders(const ScenarioInfo &sc) const = 0;
-
-    /** Loader threads the trojan drives on the remote socket. */
-    virtual int remoteLoaders(const ScenarioInfo &sc) const = 0;
-
-    /**
-     * The combination whose loaders re-fetch the shared line; the
-     * rig picks a line homed on that combination's socket.
-     */
-    virtual Combo
-    carrier(const ScenarioInfo &sc) const
-    {
-        return sc.csc;
-    }
-
-    /** Setup after the rig and defences, before the bodies spawn. */
-    virtual void prepare(VectorRun &) {}
-
-    virtual Task trojanTask(ThreadApi api, VectorRun &run) = 0;
-    virtual Task spyTask(ThreadApi api, VectorRun &run) = 0;
-
-    /**
-     * Whether the trojan ends the pair's run. Only the ecc trojan
-     * does: it owns the acknowledgement window after the last
-     * packet. Every other pair ends when its spy does.
-     */
-    virtual bool
-    trojanEnds() const
-    {
-        return false;
-    }
-
-    /**
-     * Harvest the finished pair: fill @p ch's received bits and
-     * metrics (sent, trojan, spy, shared and completed are already
-     * set), publish the pair's channel counters into @p counters and
-     * fill the link's own branch of @p out.
-     */
-    virtual void finish(VectorRun &run, ChannelReport &ch,
-                        CounterRegistry &counters,
-                        SessionReport &out) = 0;
-};
 
 } // namespace csim
 

@@ -58,106 +58,6 @@ struct SymbolBands
     LatencyBand dram;
 };
 
-Task
-symbolTrojanBody(ThreadApi api, PlacerCrew &crew, VAddr block,
-                 const CalibrationResult &cal,
-                 const ChannelParams &params,
-                 const SymbolParams &sym_params, Tick period,
-                 const std::vector<int> &symbols, TrojanResult &out)
-{
-    co_await trojanSyncPhase(api, block, cal, params, out);
-    out.txStart = api.now();
-    Tick phase_start = api.now();
-    // Phase switches do not flush B (see trojanTransmit): the spy's
-    // per-sample flush retires stale copies within one sample.
-    auto hold_symbol = [&](int sym, int periods) -> Task {
-        crew.activate(symbolCombo(sym), block);
-        phase_start += static_cast<Tick>(periods) * period;
-        co_await api.spinUntil(phase_start);
-    };
-    auto hold_quiet = [&](int periods) -> Task {
-        crew.idle();
-        phase_start += static_cast<Tick>(periods) * period;
-        co_await api.spinUntil(phase_start);
-    };
-    // Lead-in: a preamble symbol the spy discards, so it can lock on.
-    co_await hold_symbol(0, sym_params.cs + 2);
-    co_await hold_quiet(sym_params.cbSym);
-    for (int sym : symbols) {
-        co_await hold_symbol(sym, sym_params.cs);
-        co_await hold_quiet(sym_params.cbSym);
-    }
-    crew.idle();
-    out.txEnd = api.now();
-}
-
-Task
-symbolSpyBody(ThreadApi api, VAddr block, const CalibrationResult &cal,
-              const ChannelParams &params,
-              const SymbolParams &sym_params,
-              std::vector<int> &symbols_out,
-              std::vector<SpySample> &trace, bool collect_trace)
-{
-    const SymbolBands decision(cal, params.gapClaim);
-    // Phase 1: wait for the preamble (two consecutive in-band
-    // samples of any symbol value).
-    int consecutive = 0;
-    for (;;) {
-        co_await api.flush(block);
-        co_await api.spin(params.ts);
-        const Tick lat = co_await api.load(block);
-        if (decision.classify(static_cast<double>(lat)) >= 0) {
-            if (++consecutive >= 2)
-                break;
-        } else {
-            consecutive = 0;
-        }
-    }
-
-    // Phase 2: reception. Counts per symbol value accumulate while
-    // in-band; a quiet run of cbSym samples commits the symbol by
-    // majority vote.
-    std::array<int, 4> counts{};
-    auto have_samples = [&] {
-        return std::any_of(counts.begin(), counts.end(),
-                           [](int c) { return c > 0; });
-    };
-    auto commit = [&] {
-        if (!have_samples())
-            return;
-        const auto best =
-            std::max_element(counts.begin(), counts.end());
-        symbols_out.push_back(
-            static_cast<int>(best - counts.begin()));
-        counts.fill(0);
-    };
-    // The two lock-on samples belong to the preamble symbol.
-    counts[0] = 2;
-    int quiet_run = 0;
-    for (;;) {
-        co_await api.flush(block);
-        co_await api.spin(params.ts);
-        const Tick lat = co_await api.load(block);
-        if (collect_trace)
-            trace.push_back(SpySample{api.now(), lat});
-        const int sym = decision.classify(static_cast<double>(lat));
-        if (sym >= 0) {
-            ++counts[static_cast<std::size_t>(sym)];
-            quiet_run = 0;
-        } else {
-            ++quiet_run;
-            if (quiet_run == sym_params.commitQuiet())
-                commit();
-            if (quiet_run >= sym_params.endN)
-                break;
-        }
-    }
-    commit();
-    // Drop the preamble symbol.
-    if (!symbols_out.empty())
-        symbols_out.erase(symbols_out.begin());
-}
-
 /** 2-bit symbols over all four combinations as one pair's link. */
 class SymbolLink final : public PairLink
 {
@@ -186,23 +86,8 @@ class SymbolLink final : public PairLink
             run.cfg.system.timing);
     }
 
-    Task
-    trojanTask(ThreadApi api, VectorRun &run) override
-    {
-        return symbolTrojanBody(api, *run.rig.crew,
-                                run.rig.shared.trojanVa, run.cal,
-                                run.cfg.params, params_, period_,
-                                report_.sentSymbols, run.trojan);
-    }
-
-    Task
-    spyTask(ThreadApi api, VectorRun &run) override
-    {
-        return symbolSpyBody(api, run.rig.shared.spyVa, run.cal,
-                             run.cfg.params, params_,
-                             report_.receivedSymbols, report_.trace,
-                             run.collectTrace);
-    }
+    Task trojanTask(ThreadApi api, VectorRun &run) override;
+    Task spyTask(ThreadApi api, VectorRun &run) override;
 
     void
     finish(VectorRun &run, ChannelReport &ch, CounterRegistry &,
@@ -226,6 +111,104 @@ class SymbolLink final : public PairLink
     Tick period_ = 0;
     SymbolReport report_;
 };
+
+Task
+SymbolLink::trojanTask(ThreadApi api, VectorRun &run)
+{
+    PlacerCrew &crew = *run.rig.crew;
+    const VAddr block = run.rig.shared.trojanVa;
+    const ChannelParams &params = run.cfg.params;
+    TrojanResult &out = run.trojan;
+    co_await trojanSyncPhase(api, block, run.cal, params, out);
+    out.txStart = api.now();
+    Tick phase_start = api.now();
+    // Phase switches do not flush B (see trojanTransmit): the spy's
+    // per-sample flush retires stale copies within one sample.
+    auto hold_symbol = [&](int sym, int periods) -> Task {
+        crew.activate(symbolCombo(sym), block);
+        phase_start += static_cast<Tick>(periods) * period_;
+        co_await api.spinUntil(phase_start);
+    };
+    auto hold_quiet = [&](int periods) -> Task {
+        crew.idle();
+        phase_start += static_cast<Tick>(periods) * period_;
+        co_await api.spinUntil(phase_start);
+    };
+    // Lead-in: a preamble symbol the spy discards, so it can lock on.
+    co_await hold_symbol(0, params_.cs + 2);
+    co_await hold_quiet(params_.cbSym);
+    for (int sym : report_.sentSymbols) {
+        co_await hold_symbol(sym, params_.cs);
+        co_await hold_quiet(params_.cbSym);
+    }
+    crew.idle();
+    out.txEnd = api.now();
+}
+
+Task
+SymbolLink::spyTask(ThreadApi api, VectorRun &run)
+{
+    const VAddr block = run.rig.shared.spyVa;
+    const ChannelParams &params = run.cfg.params;
+    const SymbolBands decision(run.cal, params.gapClaim);
+    // Phase 1: wait for the preamble (two consecutive in-band
+    // samples of any symbol value).
+    int consecutive = 0;
+    for (;;) {
+        co_await api.flush(block);
+        co_await api.spin(params.ts);
+        const Tick lat = co_await api.load(block);
+        if (decision.classify(static_cast<double>(lat)) >= 0) {
+            if (++consecutive >= 2)
+                break;
+        } else {
+            consecutive = 0;
+        }
+    }
+
+    // Phase 2: reception. Counts per symbol value accumulate while
+    // in-band; a quiet run of cbSym samples commits the symbol by
+    // majority vote.
+    std::array<int, 4> counts{};
+    auto have_samples = [&] {
+        return std::any_of(counts.begin(), counts.end(),
+                           [](int c) { return c > 0; });
+    };
+    auto commit = [&] {
+        if (!have_samples())
+            return;
+        const auto best =
+            std::max_element(counts.begin(), counts.end());
+        report_.receivedSymbols.push_back(
+            static_cast<int>(best - counts.begin()));
+        counts.fill(0);
+    };
+    // The two lock-on samples belong to the preamble symbol.
+    counts[0] = 2;
+    int quiet_run = 0;
+    for (;;) {
+        co_await api.flush(block);
+        co_await api.spin(params.ts);
+        const Tick lat = co_await api.load(block);
+        if (run.collectTrace)
+            report_.trace.push_back(SpySample{api.now(), lat});
+        const int sym = decision.classify(static_cast<double>(lat));
+        if (sym >= 0) {
+            ++counts[static_cast<std::size_t>(sym)];
+            quiet_run = 0;
+        } else {
+            ++quiet_run;
+            if (quiet_run == params_.commitQuiet())
+                commit();
+            if (quiet_run >= params_.endN)
+                break;
+        }
+    }
+    commit();
+    // Drop the preamble symbol.
+    if (!report_.receivedSymbols.empty())
+        report_.receivedSymbols.erase(report_.receivedSymbols.begin());
+}
 
 } // namespace
 

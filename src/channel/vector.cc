@@ -3,6 +3,8 @@
 #include <stdexcept>
 
 #include "common/logging.hh"
+#include "os/kernel.hh"
+#include "prof/profiler.hh"
 
 namespace csim
 {
@@ -85,6 +87,23 @@ class CoherenceVector final : public LeakageVector
 };
 
 } // namespace
+
+void
+LeakageVector::finish(VectorRun &run, ChannelReport &ch,
+                      CounterRegistry &counters, SessionReport &)
+{
+    ScopedSpan span("rig.decode");
+    ch.received = run.spy.bits;
+    const ChannelMetrics retries = ch.metrics;
+    ch.metrics = computeMetrics(
+        ch.sent, ch.received, run.trojan.txStart,
+        run.trojan.txEnd ? run.trojan.txEnd : run.rig.machine.sched.now(),
+        run.cfg.system.timing);
+    ch.metrics.pairId = run.rig.pairId;
+    ch.metrics.nacks = retries.nacks;
+    ch.metrics.retransmits = retries.retransmits;
+    addChannelCounters(counters, run.rig.counterPrefix(), ch.metrics);
+}
 
 std::unique_ptr<LeakageVector> makeDirtyVector();
 std::unique_ptr<LeakageVector> makeLruVector();

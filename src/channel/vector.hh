@@ -52,11 +52,12 @@ idleBand(const CalibrationResult &cal)
     return cal.bands[1];
 }
 
+struct SessionReport;
+
 /**
  * Everything one trojan/spy pair's bodies need, assembled by the
- * session for every pair and handed to its link (and through the raw
- * link to its vector). The referenced objects outlive the spawned
- * coroutines.
+ * session for every pair and handed to its link. The referenced
+ * objects outlive the spawned coroutines.
  */
 struct VectorRun
 {
@@ -79,15 +80,92 @@ struct VectorRun
 };
 
 /**
- * One leakage vector. Instances are created per run (one per fleet
- * pair), so prepare() may stash per-run state (conflict sets, page
- * addresses, slot timing) in the object.
+ * One pair's link (channel/session.hh): its rig shape, its trojan
+ * and spy bodies, and how a finished pair is harvested. A leakage
+ * vector is the raw link; the PHY stack, parity+NACK and 2-bit
+ * symbols are the others. Instances are created per pair, so a link
+ * may keep per-pair state. The VectorRun handed to every hook is the
+ * pair's context; its trojan/spy results are the pair's
+ * ChannelReport fields.
  */
-class LeakageVector
+class PairLink
 {
   public:
-    virtual ~LeakageVector() = default;
+    virtual ~PairLink() = default;
 
+    /** Loader threads the trojan drives on the spy's socket... */
+    virtual int
+    localLoaders(const ScenarioInfo &sc) const
+    {
+        return sc.localLoaders;
+    }
+
+    /** ...and on the remote socket (default: the Table I crew). */
+    virtual int
+    remoteLoaders(const ScenarioInfo &sc) const
+    {
+        return sc.remoteLoaders;
+    }
+
+    /**
+     * The combination whose loaders re-fetch the shared line; the
+     * rig picks a line homed on that combination's socket.
+     */
+    virtual Combo
+    carrier(const ScenarioInfo &sc) const
+    {
+        return sc.csc;
+    }
+
+    /**
+     * Setup after the rig and defences, before the bodies spawn:
+     * build conflict sets, create mergeable pages, spawn auxiliary
+     * daemons, encode frames.
+     */
+    virtual void prepare(VectorRun &) {}
+
+    /**
+     * The trojan coroutine. Must fill run.trojan (txStart/txEnd at
+     * minimum) and publish the chTx* milestones.
+     */
+    virtual Task trojanTask(ThreadApi api, VectorRun &run) = 0;
+
+    /**
+     * The spy coroutine. Must fill run.spy (bits, rxStart/rxEnd) and
+     * publish the chRx* milestones.
+     */
+    virtual Task spyTask(ThreadApi api, VectorRun &run) = 0;
+
+    /**
+     * Whether the trojan ends the pair's run. Only the ecc trojan
+     * does: it owns the acknowledgement window after the last
+     * packet. Every other pair ends when its spy does.
+     */
+    virtual bool
+    trojanEnds() const
+    {
+        return false;
+    }
+
+    /**
+     * Harvest the finished pair: fill @p ch's received bits and
+     * metrics (sent, trojan, spy, shared and completed are already
+     * set), publish the pair's channel counters into @p counters and
+     * fill the link's own branch of @p out.
+     */
+    virtual void finish(VectorRun &run, ChannelReport &ch,
+                        CounterRegistry &counters,
+                        SessionReport &out) = 0;
+};
+
+/**
+ * One leakage vector, the raw link. Instances are created per run
+ * (one per fleet pair), so prepare() may stash per-run state
+ * (conflict sets, page addresses, slot timing) in the object.
+ */
+class LeakageVector : public PairLink
+{
+  public:
     virtual VectorKind kind() const = 0;
     const char *name() const { return vectorName(kind()); }
 
@@ -100,39 +178,26 @@ class LeakageVector
     virtual CalibrationResult
     calibrate(const ChannelConfig &cfg) const = 0;
 
-    /** Loader threads the vector wants on the spy's socket. */
-    virtual int
-    localLoaders(const ScenarioInfo &) const
+    /** No loader crew unless the vector asks for one. */
+    int
+    localLoaders(const ScenarioInfo &) const override
     {
         return 0;
     }
 
-    /** Loader threads the vector wants on the remote socket. */
-    virtual int
-    remoteLoaders(const ScenarioInfo &) const
+    int
+    remoteLoaders(const ScenarioInfo &) const override
     {
         return 0;
     }
 
     /**
-     * Post-rig setup before the adversary threads spawn: build
-     * conflict sets, create mergeable pages, spawn auxiliary
-     * daemons. The coherence vector needs none of it.
+     * The raw harvest: the spy's bits against the payload, over the
+     * trojan's transmit window. Keeps the NACK/retransmit tallies the
+     * session counted into ch.metrics while the pair ran.
      */
-    virtual void prepare(VectorRun &) {}
-
-    /**
-     * The trojan coroutine. Must fill run.trojan (txStart/txEnd at
-     * minimum) and publish the chTx* milestones.
-     */
-    virtual Task trojanTask(ThreadApi api, VectorRun &run) = 0;
-
-    /**
-     * The spy coroutine. Must fill run.spy (bits, rxStart/rxEnd) and
-     * publish the chRx* milestones. The session stops the run when
-     * this thread finishes.
-     */
-    virtual Task spyTask(ThreadApi api, VectorRun &run) = 0;
+    void finish(VectorRun &run, ChannelReport &ch,
+                CounterRegistry &counters, SessionReport &out) final;
 };
 
 /** Instantiate the plugin for a vector kind. */

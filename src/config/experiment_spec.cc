@@ -55,6 +55,22 @@ parseInt(const std::string &field, const std::string &text)
     return static_cast<int>(v);
 }
 
+std::vector<Scenario>
+parseScenarioMix(const std::string &mix)
+{
+    std::vector<Scenario> out;
+    for (const std::string &name : splitCsv(mix)) {
+        try {
+            out.push_back(scenarioFromName(name));
+        } catch (const std::exception &) {
+            throw ConfigError(msgCat(
+                "fleet.scenario_mix entry '", name,
+                "' is not a Table I notation or row number"));
+        }
+    }
+    return out;
+}
+
 } // namespace
 
 std::size_t
@@ -101,15 +117,7 @@ ExperimentSpec::toFleetSession() const
     cfg.pairs = static_cast<int>(fleet.pairs);
     cfg.noiseAgents = static_cast<int>(fleet.noiseAgents);
     cfg.staggerCycles = static_cast<Tick>(fleet.staggerCycles);
-    for (const std::string &name : splitCsv(fleet.scenarioMix)) {
-        try {
-            cfg.scenarioMix.push_back(scenarioFromName(name));
-        } catch (const std::exception &) {
-            throw ConfigError(msgCat(
-                "fleet.scenario_mix entry '", name,
-                "' is not a Table I notation or row number"));
-        }
-    }
+    cfg.scenarioMix = parseScenarioMix(fleet.scenarioMix);
     cfg.payloadBits = payloadBits();
     cfg.timeoutMargin = timeoutMargin > 0.0 ? timeoutMargin : 20.0;
     return session;
@@ -142,19 +150,7 @@ ExperimentSpec::validate() const
 
     validateLink(linkFor(channel));
 
-    if (!fleet.scenarioMix.empty()) {
-        for (const std::string &name :
-             splitCsv(fleet.scenarioMix)) {
-            try {
-                scenarioFromName(name);
-            } catch (const std::exception &) {
-                throw ConfigError(msgCat(
-                    "fleet.scenario_mix entry '", name,
-                    "' is not a Table I notation or row number"));
-            }
-        }
-    }
-
+    parseScenarioMix(fleet.scenarioMix);
     sweepAxes(*this);  // throws on malformed axis lists
 }
 
@@ -166,25 +162,21 @@ ExperimentSpec::validateLink(LinkKind link) const
     const std::string phy =
         channel.phy.adaptive
             ? std::string("phy.adaptive = true")
-            : msgCat("phy.profile = ",
-                     phyProfileName(channel.phy.profile));
+            : msgCat("phy.profile = ", phyProfileName(channel.phy.profile));
     const std::string what =
-        link == LinkKind::phy
-            ? phy + " selects the phy link, which"
-            : msgCat("the ", linkKindName(link), " link");
+        link == LinkKind::phy ? phy + " selects the phy link, which"
+                              : msgCat("the ", linkKindName(link), " link");
     if (channel.vector != VectorKind::coherence)
-        throw ConfigError(msgCat(
-            what, " modulates the coherence channel only, not "
-                  "channel.vector = ",
-            vectorName(channel.vector)));
+        throw ConfigError(msgCat(what,
+                                 " modulates the coherence channel only, "
+                                 "not channel.vector = ",
+                                 vectorName(channel.vector)));
     if (fleet.pairs > 1)
-        throw ConfigError(msgCat(
-            what, " runs one pair, not fleet.pairs = ", fleet.pairs,
-            " (fleet pairs run the raw link)"));
+        throw ConfigError(msgCat(what, " runs one pair, not fleet.pairs = ",
+                                 fleet.pairs,
+                                 " (fleet pairs run the raw link)"));
     if (link != LinkKind::phy && linkFor(channel) == LinkKind::phy)
-        throw ConfigError(msgCat(phy, " selects the phy link; the ",
-                                 linkKindName(link),
-                                 " link would ignore it"));
+        throw ConfigError(msgCat(what, " would ignore ", phy));
 }
 
 GridAxes

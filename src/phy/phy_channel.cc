@@ -347,27 +347,6 @@ phyFinalizeSession(const PhySession &s, const BitString &payload,
 }
 
 /**
- * Map a finished session onto the common ChannelMetrics: accuracy
- * and effective/payload rates are payload-level, rawKbps is the wire
- * rate (so the FEC expansion factor stays visible).
- */
-ChannelMetrics
-phyChannelMetrics(const PhyReport &report, const PhySession &s,
-                  const TrojanResult &trojan,
-                  const BitString &payload,
-                  const TimingParams &timing)
-{
-    ChannelMetrics m = computeMetrics(
-        payload, report.delivered, trojan.txStart,
-        s.trojanDone ? s.trojanEnd : trojan.txEnd, timing);
-    // Payload-level accuracy and goodput; the wire rate keeps the
-    // FEC expansion factor visible next to them.
-    m.payloadKbps = m.effectiveKbps;
-    m.rawKbps = timing.kbps(report.rawBitsSent, m.durationCycles);
-    return m;
-}
-
-/**
  * Publish the per-stage counters into @p reg under
  * `<prefix>ch.phy.*`, next to the common `<prefix>ch.*` set.
  */
@@ -400,18 +379,6 @@ addPhyCounters(CounterRegistry &reg, const std::string &prefix,
 class PhyLink final : public PairLink
 {
   public:
-    int
-    localLoaders(const ScenarioInfo &sc) const override
-    {
-        return sc.localLoaders;
-    }
-
-    int
-    remoteLoaders(const ScenarioInfo &sc) const override
-    {
-        return sc.remoteLoaders;
-    }
-
     void
     prepare(VectorRun &run) override
     {
@@ -440,8 +407,14 @@ class PhyLink final : public PairLink
                                      run.rig.machine.sched.now());
         out.phy.completed = ch.completed;
         ch.received = out.phy.delivered;
-        ch.metrics = phyChannelMetrics(out.phy, s_, run.trojan,
-                                       run.payload, timing);
+        // The common view: payload-level accuracy and goodput, next
+        // to the wire rate that keeps the FEC expansion visible.
+        ch.metrics = computeMetrics(
+            run.payload, ch.received, run.trojan.txStart,
+            s_.trojanDone ? s_.trojanEnd : run.trojan.txEnd, timing);
+        ch.metrics.payloadKbps = ch.metrics.effectiveKbps;
+        ch.metrics.rawKbps =
+            timing.kbps(out.phy.rawBitsSent, ch.metrics.durationCycles);
         addChannelCounters(counters, run.rig.counterPrefix(),
                            ch.metrics);
         addPhyCounters(counters, run.rig.counterPrefix(), out.phy);

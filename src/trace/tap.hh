@@ -4,13 +4,13 @@
  * that subscribes to a machine's TraceBus for the duration of one
  * experiment.
  *
- * The channel layer (ExperimentRig) owns the machine whose bus the
- * subscribers need, but must not depend on what the subscribers do
- * with the stream — the TraceRecorder captures it, the run-health
- * monitor (src/obs) aggregates it, tests probe it. BusTap is that
- * seam: the rig attaches every tap before shared-memory
- * establishment and detaches them when the machine dies, and each
- * tap keeps its accumulated state afterwards.
+ * The channel layer (the transmission session) owns the machine whose
+ * bus the subscribers need, but must not depend on what the
+ * subscribers do with the stream — the TraceRecorder captures it,
+ * the run-health monitor (src/obs) aggregates it, tests probe it.
+ * BusTap is that seam: the session attaches every tap before
+ * shared-memory establishment and detaches them when the machine
+ * dies, and each tap keeps its accumulated state afterwards.
  */
 
 #ifndef COHERSIM_TRACE_TAP_HH
