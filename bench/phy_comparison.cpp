@@ -35,23 +35,6 @@ namespace
 
 using namespace csim;
 
-/** Adapts the detector to the rig's BusTap attachment seam. */
-struct DetectorTap : BusTap
-{
-    CoherenceChannelDetector det;
-
-    void
-    attach(TraceBus &bus, int) override
-    {
-        det.attach(bus);
-    }
-    void
-    detach() override
-    {
-        det.detach();
-    }
-};
-
 struct PointResult
 {
     double effectiveKbps = 0.0;
@@ -71,8 +54,8 @@ runPoint(const ExperimentSpec &base, const CalibrationResult &cal,
     ExperimentSpec point = base;
     point.channel.noiseThreads = noise;
     point.channel.phy.profile = profile;
-    DetectorTap tap;
-    point.channel.taps.push_back(&tap);
+    CoherenceChannelDetector det;
+    point.channel.detector = &det;
     Rng rng(payload_seed);
     const BitString payload =
         randomBits(rng, static_cast<std::size_t>(base.payload.bits));
@@ -101,7 +84,7 @@ runPoint(const ExperimentSpec &base, const CalibrationResult &cal,
         r.fecCorrected = rep.stages.fecCorrected;
         r.completed = rep.completed;
     }
-    r.detected = tap.det.anySuspicious();
+    r.detected = det.anySuspicious();
     return r;
 }
 

@@ -20,333 +20,6 @@ namespace
 {
 
 /**
- * State one PHY session's two coroutines share, plus everything they
- * record besides the pair's trojan/spy results. The
- * scenario/calibration pointers are non-owning and outlive the run.
- */
-struct PhySession
-{
-    const ScenarioInfo *scenario = nullptr;
-    const CalibrationResult *cal = nullptr;
-    ChannelParams params;   //!< post-adaptive operating parameters
-    PhyConfig phy;          //!< post-adaptive profile and knobs
-    Tick period = 0;        //!< nominal sample period under params
-    std::vector<BitString> frames;  //!< wire frames to transmit
-
-    /** @name Adaptive-controller evidence (zero when disabled) */
-    /** @{ */
-    double rateKbps = 0.0;
-    double bandSeparation = 0.0;
-    /** @} */
-
-    /** @name Live coroutine state */
-    /** @{ */
-    bool trojanDone = false;
-    Tick sessionStart = 0;  //!< sync end (payload clock starts)
-    Tick trojanEnd = 0;
-    /** @} */
-
-    /** @name Outputs */
-    /** @{ */
-    /**
-     * Accepted frame chunks keyed by *absolute* frame index,
-     * unwrapped from the 4-bit sequence numbers: a lost frame
-     * leaves a gap (an erasure) instead of shifting every later
-     * chunk's position.
-     */
-    std::vector<std::pair<std::size_t, BitString>> accepted;
-    PhyStageStats stages;
-    std::uint64_t rawBitsSent = 0;
-    /** @} */
-};
-
-/**
- * Resolve the operating point (running the adaptive controller when
- * cfg.phy.adaptive) and pre-encode the payload into wire frames.
- */
-void
-phyPrepareSession(PhySession &s, const ChannelConfig &cfg,
-                  const BitString &payload,
-                  const CalibrationResult &cal)
-{
-    panic_if(cfg.phy.profile == PhyProfile::legacyParity &&
-                 !cfg.phy.adaptive,
-             "the PHY session needs a hamming profile (or adaptive "
-             "mode); legacy-parity runs the classic drivers");
-    s.scenario = &scenarioInfo(cfg.scenario);
-    s.cal = &cal;
-    s.params = cfg.params;
-    s.phy = cfg.phy;
-
-    if (cfg.phy.adaptive) {
-        const AdaptiveDecision d = phyChooseOperatingPoint(
-            cal, *s.scenario, cfg.noiseThreads);
-        s.phy.profile = d.profile;
-        s.params = ChannelParams::forTargetKbps(d.rateKbps,
-                                                cfg.system.timing);
-        s.rateKbps = d.rateKbps;
-        s.bandSeparation = d.separation;
-    }
-    s.period = s.params.nominalSamplePeriod(cfg.system.timing);
-
-    // Pre-encode the payload: fixed-size chunks, 4-bit sequence
-    // numbers. FEC mode never retransmits, so consecutive frames
-    // always carry distinct sequence numbers and the spy's duplicate
-    // guard only ever drops false decodes.
-    ScopedSpan span("phy.encode");
-    const std::size_t chunk_bits =
-        static_cast<std::size_t>(s.phy.frameNibbles) * hammingDataBits;
-    for (std::size_t off = 0; off < payload.size();
-         off += chunk_bits) {
-        const BitString chunk(
-            payload.begin() + static_cast<std::ptrdiff_t>(off),
-            payload.begin() +
-                static_cast<std::ptrdiff_t>(
-                    std::min(off + chunk_bits, payload.size())));
-        s.frames.push_back(phyEncodeFrame(
-            static_cast<std::uint8_t>(s.frames.size() & 0xf), chunk,
-            s.phy));
-    }
-}
-
-/** Trojan controller: sync handshake, then one burst per frame. */
-Task
-phyTrojanBody(ThreadApi api, PlacerCrew &crew, VAddr block,
-              PhySession &s, TrojanResult &trojan)
-{
-    co_await trojanSyncPhase(api, block, *s.cal, s.params, trojan);
-    s.sessionStart = api.now();
-    if (s.rateKbps > 0.0) {
-        chEvent(api, TraceEventType::chPhyAdapt,
-                static_cast<std::uint64_t>(s.phy.profile),
-                static_cast<std::uint64_t>(s.rateKbps));
-    }
-
-    bool first = true;
-    for (const BitString &frame : s.frames) {
-        TrojanResult tr;
-        co_await trojanTransmit(api, crew, block, *s.scenario,
-                                s.params, s.period, frame, tr);
-        if (first) {
-            trojan.txStart = tr.txStart;
-            first = false;
-        }
-        trojan.txEnd = tr.txEnd;
-        s.rawBitsSent += frame.size();
-        ++s.stages.framesSent;
-        // Brief inter-frame silence: the spy's translator parks in
-        // its boundary state and the next preamble re-locks it.
-        co_await api.spin(2 * s.period);
-    }
-    crew.idle();
-    s.trojanEnd = api.now();
-    s.trojanDone = true;
-}
-
-/**
- * Spy: sample, soft-demap, hunt for preambles, decode headers and
- * FEC-protected bodies until the trojan falls silent. @p spy.bits
- * collects the demapped wire bits, for diagnostics.
- */
-Task
-phySpyBody(ThreadApi api, VAddr block, PhySession &s, SpyResult &spy)
-{
-    LatencyBand tc = s.cal->band(s.scenario->csc);
-    LatencyBand tb = s.cal->band(s.scenario->csb);
-    LatencyBand dram = s.cal->dramBand;
-    {
-        std::vector<LatencyBand *> used = {&tc, &tb, &dram};
-        claimGaps(used, s.params.gapClaim);
-    }
-
-    SoftTranslator translator(s.params);
-    PreambleDetector detector(preamblePattern(s.phy.preambleLen),
-                              preambleMismatchBudget(s.phy.preambleLen));
-    enum class Rx : std::uint8_t { hunt, header, body };
-    Rx rx = Rx::hunt;
-    BitString header_bits;
-    std::vector<SoftBit> body_bits;
-    PhyFrameHeader hdr;
-    // Absolute frame index recovered from the 4-bit wire sequence:
-    // the delta to the previously accepted frame's sequence number
-    // unwraps it (frames arrive in transmit order; up to 15
-    // consecutive losses stay unambiguous).
-    int last_seq = -1;
-    std::size_t frame_index = 0;
-    int out_of_band = 0;
-    std::uint64_t wire_index = 0;
-
-    // The FEC stack has no reverse channel, so the spy simply
-    // listens until the trojan has fallen silent for good.
-    const auto session_over = [&] {
-        return s.trojanDone && api.now() > s.trojanEnd + 4 * s.period;
-    };
-
-    while (!session_over()) {
-        co_await api.flush(block);
-        co_await api.spin(s.params.ts);
-        const Tick lat = co_await api.load(block);
-        const double latency = static_cast<double>(lat);
-        const auto cls = classifySample(latency, tc, tb);
-        if (cls == SampleClass::outOfBand) {
-            ++out_of_band;
-        } else {
-            // Slips reported at recovery, as in spyBody, so the
-            // inter-frame quiet gaps never count as one each sample.
-            if (out_of_band > 0) {
-                chEvent(api, TraceEventType::chSyncSlip,
-                        static_cast<std::uint64_t>(out_of_band));
-            }
-            out_of_band = 0;
-        }
-
-        const auto soft = translator.feed(
-            cls, classifyConfidence(latency, tc, tb, cls));
-        if (!soft)
-            continue;
-        ++s.stages.wireBitsReceived;
-        spy.bits.push_back(soft->bit);
-        chEvent(api, TraceEventType::chRxBit, soft->bit,
-                wire_index++);
-
-        switch (rx) {
-          case Rx::hunt:
-            if (detector.push(soft->bit)) {
-                ++s.stages.preambleLocks;
-                chEvent(api, TraceEventType::chPhyPreambleLock,
-                        static_cast<std::uint64_t>(
-                            detector.lastMismatches()));
-                if (!spy.sawTransmission) {
-                    spy.sawTransmission = true;
-                    spy.rxStart = api.now();
-                    chEvent(api, TraceEventType::chRxStart);
-                }
-                header_bits.clear();
-                rx = Rx::header;
-            }
-            break;
-          case Rx::header:
-            header_bits.push_back(soft->bit);
-            if (header_bits.size() == phyHeaderWireBits) {
-                // Synchronous between two co_awaits: safe to
-                // wall-scope (never held across a suspension).
-                ScopedSpan hdr_span("phy.decode.header");
-                if (const auto h =
-                        phyDecodeHeader(header_bits, s.phy)) {
-                    hdr = *h;
-                    body_bits.clear();
-                    rx = Rx::body;
-                } else {
-                    ++s.stages.headerBad;
-                    chEvent(api, TraceEventType::chPhyHeaderBad,
-                            s.stages.headerBad);
-                    rx = Rx::hunt;
-                }
-            }
-            break;
-          case Rx::body:
-            body_bits.push_back(*soft);
-            if (body_bits.size() == phyBodyWireBits(hdr.nibbles)) {
-                ScopedSpan body_span("phy.decode.body");
-                const PhyBodyResult res =
-                    phyDecodeBody(body_bits, hdr, s.phy);
-                s.stages.fecBlocks +=
-                    static_cast<std::uint64_t>(res.blocks);
-                s.stages.fecCorrected +=
-                    static_cast<std::uint64_t>(res.corrected);
-                s.stages.fecUncorrectable +=
-                    static_cast<std::uint64_t>(res.uncorrectable);
-                if (res.corrected > 0) {
-                    chEvent(api, TraceEventType::chPhyFecCorrected,
-                            static_cast<std::uint64_t>(res.corrected),
-                            hdr.seq);
-                }
-                if (res.uncorrectable > 0) {
-                    chEvent(api, TraceEventType::chPhyFecBad,
-                            static_cast<std::uint64_t>(
-                                res.uncorrectable),
-                            hdr.seq);
-                }
-                const bool dup = static_cast<int>(hdr.seq) == last_seq;
-                if (dup) {
-                    ++s.stages.framesDuplicate;
-                } else {
-                    if (last_seq < 0) {
-                        // Losses before the first lock: the raw
-                        // sequence is the absolute index (mod 16).
-                        frame_index = hdr.seq;
-                    } else {
-                        frame_index += static_cast<std::size_t>(
-                            (static_cast<int>(hdr.seq) - last_seq +
-                             16) %
-                            16);
-                    }
-                    s.accepted.emplace_back(frame_index, res.bits);
-                    last_seq = hdr.seq;
-                    ++s.stages.framesAccepted;
-                }
-                chEvent(api, TraceEventType::chPhyFrame, hdr.seq,
-                        dup ? 0 : 1);
-                spy.rxEnd = api.now();
-                detector.reset();
-                rx = Rx::hunt;
-            }
-            break;
-        }
-    }
-    chEvent(api, TraceEventType::chRxEnd, s.stages.wireBitsReceived);
-}
-
-/**
- * Harvest the session into a report. @p fallback_end bounds the
- * duration when the trojan never finished (timeout).
- */
-PhyReport
-phyFinalizeSession(const PhySession &s, const BitString &payload,
-                   const TimingParams &timing, Tick fallback_end)
-{
-    ScopedSpan span("phy.finalize");
-    PhyReport r;
-    r.payloadBits = payload.size();
-    r.frames = static_cast<int>(s.frames.size());
-    r.rawBitsSent = s.rawBitsSent;
-    r.profileUsed = s.phy.profile;
-    r.rateKbps = s.rateKbps;
-    r.bandSeparation = s.bandSeparation;
-    r.stages = s.stages;
-
-    // Place each accepted chunk at its sequence-derived offset;
-    // lost frames stay zero-filled erasures instead of shifting
-    // every later chunk out of position.
-    const std::size_t chunk_bits =
-        static_cast<std::size_t>(s.phy.frameNibbles) *
-        hammingDataBits;
-    r.delivered.assign(payload.size(), 0);
-    for (const auto &[index, chunk] : s.accepted) {
-        const std::size_t off = index * chunk_bits;
-        for (std::size_t i = 0;
-             i < chunk.size() && off + i < r.delivered.size(); ++i) {
-            r.delivered[off + i] = chunk[i];
-        }
-    }
-    if (s.accepted.empty())
-        r.delivered.clear();
-    for (std::size_t i = 0; i < payload.size(); ++i) {
-        if (i >= r.delivered.size() || r.delivered[i] != payload[i])
-            ++r.residualErrors;
-    }
-
-    const Tick end = s.trojanDone ? s.trojanEnd : fallback_end;
-    r.durationCycles =
-        end > s.sessionStart ? end - s.sessionStart : 0;
-    r.effectiveKbps = timing.kbps(r.payloadBits, r.durationCycles);
-    const std::uint64_t good =
-        r.payloadBits - std::min(r.residualErrors, r.payloadBits);
-    r.payloadKbps = timing.kbps(good, r.durationCycles);
-    return r;
-}
-
-/**
  * Publish the per-stage counters into @p reg under
  * `<prefix>ch.phy.*`, next to the common `<prefix>ch.*` set.
  */
@@ -375,43 +48,45 @@ addPhyCounters(CounterRegistry &reg, const std::string &prefix,
             static_cast<std::uint64_t>(report.rateKbps);
 }
 
-/** The framed FEC stack as one pair's link. */
+/**
+ * The framed FEC stack as one pair's link: the operating point, the
+ * wire frames and everything the two coroutines share and record
+ * besides the pair's trojan/spy results.
+ */
 class PhyLink final : public PairLink
 {
   public:
-    void
-    prepare(VectorRun &run) override
-    {
-        phyPrepareSession(s_, run.cfg, run.payload, run.cal);
-    }
+    /**
+     * Resolve the operating point (running the adaptive controller
+     * when cfg.phy.adaptive) and pre-encode the payload into wire
+     * frames.
+     */
+    void prepare(VectorRun &run) override;
 
-    Task
-    trojanTask(ThreadApi api, VectorRun &run) override
-    {
-        return phyTrojanBody(api, *run.rig.crew,
-                             run.rig.shared.trojanVa, s_, run.trojan);
-    }
+    /** Trojan controller: sync handshake, then one burst per frame. */
+    Task trojanTask(ThreadApi api, VectorRun &run) override;
 
-    Task
-    spyTask(ThreadApi api, VectorRun &run) override
-    {
-        return phySpyBody(api, run.rig.shared.spyVa, s_, run.spy);
-    }
+    /**
+     * Spy: sample, soft-demap, hunt for preambles, decode headers and
+     * FEC-protected bodies until the trojan falls silent. run.spy.bits
+     * collects the demapped wire bits, for diagnostics.
+     */
+    Task spyTask(ThreadApi api, VectorRun &run) override;
 
     void
     finish(VectorRun &run, ChannelReport &ch, CounterRegistry &counters,
            SessionReport &out) override
     {
         const TimingParams &timing = run.cfg.system.timing;
-        out.phy = phyFinalizeSession(s_, run.payload, timing,
-                                     run.rig.machine.sched.now());
+        out.phy = finalize(run.payload, timing,
+                           run.rig.machine.sched.now());
         out.phy.completed = ch.completed;
         ch.received = out.phy.delivered;
         // The common view: payload-level accuracy and goodput, next
         // to the wire rate that keeps the FEC expansion visible.
         ch.metrics = computeMetrics(
             run.payload, ch.received, run.trojan.txStart,
-            s_.trojanDone ? s_.trojanEnd : run.trojan.txEnd, timing);
+            trojanDone_ ? trojanEnd_ : run.trojan.txEnd, timing);
         ch.metrics.payloadKbps = ch.metrics.effectiveKbps;
         ch.metrics.rawKbps =
             timing.kbps(out.phy.rawBitsSent, ch.metrics.durationCycles);
@@ -421,8 +96,316 @@ class PhyLink final : public PairLink
     }
 
   private:
-    PhySession s_;
+    /**
+     * Harvest the session into a report. @p fallback_end bounds the
+     * duration when the trojan never finished (timeout).
+     */
+    PhyReport finalize(const BitString &payload,
+                       const TimingParams &timing,
+                       Tick fallback_end) const;
+
+    ChannelParams params_;   //!< post-adaptive operating parameters
+    PhyConfig phy_;          //!< post-adaptive profile and knobs
+    Tick period_ = 0;        //!< nominal sample period under params
+    std::vector<BitString> frames_;  //!< wire frames to transmit
+
+    /** @name Adaptive-controller evidence (zero when disabled) */
+    /** @{ */
+    double rateKbps_ = 0.0;
+    double bandSeparation_ = 0.0;
+    /** @} */
+
+    /** @name Live coroutine state */
+    /** @{ */
+    bool trojanDone_ = false;
+    Tick sessionStart_ = 0;  //!< sync end (payload clock starts)
+    Tick trojanEnd_ = 0;
+    /** @} */
+
+    /** @name Outputs */
+    /** @{ */
+    /**
+     * Accepted frame chunks keyed by *absolute* frame index,
+     * unwrapped from the 4-bit sequence numbers: a lost frame
+     * leaves a gap (an erasure) instead of shifting every later
+     * chunk's position.
+     */
+    std::vector<std::pair<std::size_t, BitString>> accepted_;
+    PhyStageStats stages_;
+    std::uint64_t rawBitsSent_ = 0;
+    /** @} */
 };
+
+void
+PhyLink::prepare(VectorRun &run)
+{
+    const ChannelConfig &cfg = run.cfg;
+    panic_if(linkFor(cfg) != LinkKind::phy,
+             "the phy link needs a hamming profile or adaptive mode");
+    params_ = cfg.params;
+    phy_ = cfg.phy;
+
+    if (cfg.phy.adaptive) {
+        const AdaptiveDecision d = phyChooseOperatingPoint(
+            run.cal, run.scenario, cfg.noiseThreads);
+        phy_.profile = d.profile;
+        params_ = ChannelParams::forTargetKbps(d.rateKbps,
+                                                cfg.system.timing);
+        rateKbps_ = d.rateKbps;
+        bandSeparation_ = d.separation;
+    }
+    period_ = params_.nominalSamplePeriod(cfg.system.timing);
+
+    // Pre-encode the payload: fixed-size chunks, 4-bit sequence
+    // numbers. FEC mode never retransmits, so consecutive frames
+    // always carry distinct sequence numbers and the spy's duplicate
+    // guard only ever drops false decodes.
+    ScopedSpan span("phy.encode");
+    const std::size_t chunk_bits =
+        static_cast<std::size_t>(phy_.frameNibbles) * hammingDataBits;
+    for (std::size_t off = 0; off < run.payload.size();
+         off += chunk_bits) {
+        const BitString chunk(
+            run.payload.begin() + static_cast<std::ptrdiff_t>(off),
+            run.payload.begin() +
+                static_cast<std::ptrdiff_t>(
+                    std::min(off + chunk_bits, run.payload.size())));
+        frames_.push_back(phyEncodeFrame(
+            static_cast<std::uint8_t>(frames_.size() & 0xf), chunk,
+            phy_));
+    }
+}
+
+Task
+PhyLink::trojanTask(ThreadApi api, VectorRun &run)
+{
+    PlacerCrew &crew = *run.rig.crew;
+    const VAddr block = run.rig.shared.trojanVa;
+    TrojanResult &trojan = run.trojan;
+    co_await trojanSyncPhase(api, block, run.cal, params_, trojan);
+    sessionStart_ = api.now();
+    if (rateKbps_ > 0.0) {
+        chEvent(api, TraceEventType::chPhyAdapt,
+                static_cast<std::uint64_t>(phy_.profile),
+                static_cast<std::uint64_t>(rateKbps_));
+    }
+
+    bool first = true;
+    for (const BitString &frame : frames_) {
+        TrojanResult tr;
+        co_await trojanTransmit(api, crew, block, run.scenario,
+                                params_, period_, frame, tr);
+        if (first) {
+            trojan.txStart = tr.txStart;
+            first = false;
+        }
+        trojan.txEnd = tr.txEnd;
+        rawBitsSent_ += frame.size();
+        ++stages_.framesSent;
+        // Brief inter-frame silence: the spy's translator parks in
+        // its boundary state and the next preamble re-locks it.
+        co_await api.spin(2 * period_);
+    }
+    crew.idle();
+    trojanEnd_ = api.now();
+    trojanDone_ = true;
+}
+
+Task
+PhyLink::spyTask(ThreadApi api, VectorRun &run)
+{
+    const VAddr block = run.rig.shared.spyVa;
+    SpyResult &spy = run.spy;
+    LatencyBand tc = run.cal.band(run.scenario.csc);
+    LatencyBand tb = run.cal.band(run.scenario.csb);
+    LatencyBand dram = run.cal.dramBand;
+    {
+        std::vector<LatencyBand *> used = {&tc, &tb, &dram};
+        claimGaps(used, params_.gapClaim);
+    }
+
+    SoftTranslator translator(params_);
+    PreambleDetector detector(preamblePattern(phy_.preambleLen),
+                              preambleMismatchBudget(phy_.preambleLen));
+    enum class Rx : std::uint8_t { hunt, header, body };
+    Rx rx = Rx::hunt;
+    BitString header_bits;
+    std::vector<SoftBit> body_bits;
+    PhyFrameHeader hdr;
+    // Absolute frame index recovered from the 4-bit wire sequence:
+    // the delta to the previously accepted frame's sequence number
+    // unwraps it (frames arrive in transmit order; up to 15
+    // consecutive losses stay unambiguous).
+    int last_seq = -1;
+    std::size_t frame_index = 0;
+    int out_of_band = 0;
+    std::uint64_t wire_index = 0;
+
+    // The FEC stack has no reverse channel, so the spy simply
+    // listens until the trojan has fallen silent for good.
+    const auto session_over = [&] {
+        return trojanDone_ && api.now() > trojanEnd_ + 4 * period_;
+    };
+
+    while (!session_over()) {
+        co_await api.flush(block);
+        co_await api.spin(params_.ts);
+        const Tick lat = co_await api.load(block);
+        const double latency = static_cast<double>(lat);
+        const auto cls = classifySample(latency, tc, tb);
+        if (cls == SampleClass::outOfBand) {
+            ++out_of_band;
+        } else {
+            // Slips reported at recovery, as in spyBody, so the
+            // inter-frame quiet gaps never count as one each sample.
+            if (out_of_band > 0) {
+                chEvent(api, TraceEventType::chSyncSlip,
+                        static_cast<std::uint64_t>(out_of_band));
+            }
+            out_of_band = 0;
+        }
+
+        const auto soft = translator.feed(
+            cls, classifyConfidence(latency, tc, tb, cls));
+        if (!soft)
+            continue;
+        ++stages_.wireBitsReceived;
+        spy.bits.push_back(soft->bit);
+        chEvent(api, TraceEventType::chRxBit, soft->bit,
+                wire_index++);
+
+        switch (rx) {
+          case Rx::hunt:
+            if (detector.push(soft->bit)) {
+                ++stages_.preambleLocks;
+                chEvent(api, TraceEventType::chPhyPreambleLock,
+                        static_cast<std::uint64_t>(
+                            detector.lastMismatches()));
+                if (!spy.sawTransmission) {
+                    spy.sawTransmission = true;
+                    spy.rxStart = api.now();
+                    chEvent(api, TraceEventType::chRxStart);
+                }
+                header_bits.clear();
+                rx = Rx::header;
+            }
+            break;
+          case Rx::header:
+            header_bits.push_back(soft->bit);
+            if (header_bits.size() == phyHeaderWireBits) {
+                // Synchronous between two co_awaits: safe to
+                // wall-scope (never held across a suspension).
+                ScopedSpan hdr_span("phy.decode.header");
+                if (const auto h =
+                        phyDecodeHeader(header_bits, phy_)) {
+                    hdr = *h;
+                    body_bits.clear();
+                    rx = Rx::body;
+                } else {
+                    ++stages_.headerBad;
+                    chEvent(api, TraceEventType::chPhyHeaderBad,
+                            stages_.headerBad);
+                    rx = Rx::hunt;
+                }
+            }
+            break;
+          case Rx::body:
+            body_bits.push_back(*soft);
+            if (body_bits.size() == phyBodyWireBits(hdr.nibbles)) {
+                ScopedSpan body_span("phy.decode.body");
+                const PhyBodyResult res =
+                    phyDecodeBody(body_bits, hdr, phy_);
+                stages_.fecBlocks +=
+                    static_cast<std::uint64_t>(res.blocks);
+                stages_.fecCorrected +=
+                    static_cast<std::uint64_t>(res.corrected);
+                stages_.fecUncorrectable +=
+                    static_cast<std::uint64_t>(res.uncorrectable);
+                if (res.corrected > 0) {
+                    chEvent(api, TraceEventType::chPhyFecCorrected,
+                            static_cast<std::uint64_t>(res.corrected),
+                            hdr.seq);
+                }
+                if (res.uncorrectable > 0) {
+                    chEvent(api, TraceEventType::chPhyFecBad,
+                            static_cast<std::uint64_t>(
+                                res.uncorrectable),
+                            hdr.seq);
+                }
+                const bool dup = static_cast<int>(hdr.seq) == last_seq;
+                if (dup) {
+                    ++stages_.framesDuplicate;
+                } else {
+                    if (last_seq < 0) {
+                        // Losses before the first lock: the raw
+                        // sequence is the absolute index (mod 16).
+                        frame_index = hdr.seq;
+                    } else {
+                        frame_index += static_cast<std::size_t>(
+                            (static_cast<int>(hdr.seq) - last_seq +
+                             16) %
+                            16);
+                    }
+                    accepted_.emplace_back(frame_index, res.bits);
+                    last_seq = hdr.seq;
+                    ++stages_.framesAccepted;
+                }
+                chEvent(api, TraceEventType::chPhyFrame, hdr.seq,
+                        dup ? 0 : 1);
+                spy.rxEnd = api.now();
+                detector.reset();
+                rx = Rx::hunt;
+            }
+            break;
+        }
+    }
+    chEvent(api, TraceEventType::chRxEnd, stages_.wireBitsReceived);
+}
+
+PhyReport
+PhyLink::finalize(const BitString &payload, const TimingParams &timing,
+                  Tick fallback_end) const
+{
+    ScopedSpan span("phy.finalize");
+    PhyReport r;
+    r.payloadBits = payload.size();
+    r.frames = static_cast<int>(frames_.size());
+    r.rawBitsSent = rawBitsSent_;
+    r.profileUsed = phy_.profile;
+    r.rateKbps = rateKbps_;
+    r.bandSeparation = bandSeparation_;
+    r.stages = stages_;
+
+    // Place each accepted chunk at its sequence-derived offset;
+    // lost frames stay zero-filled erasures instead of shifting
+    // every later chunk out of position.
+    const std::size_t chunk_bits =
+        static_cast<std::size_t>(phy_.frameNibbles) *
+        hammingDataBits;
+    r.delivered.assign(payload.size(), 0);
+    for (const auto &[index, chunk] : accepted_) {
+        const std::size_t off = index * chunk_bits;
+        for (std::size_t i = 0;
+             i < chunk.size() && off + i < r.delivered.size(); ++i) {
+            r.delivered[off + i] = chunk[i];
+        }
+    }
+    if (accepted_.empty())
+        r.delivered.clear();
+    for (std::size_t i = 0; i < payload.size(); ++i) {
+        if (i >= r.delivered.size() || r.delivered[i] != payload[i])
+            ++r.residualErrors;
+    }
+
+    const Tick end = trojanDone_ ? trojanEnd_ : fallback_end;
+    r.durationCycles =
+        end > sessionStart_ ? end - sessionStart_ : 0;
+    r.effectiveKbps = timing.kbps(r.payloadBits, r.durationCycles);
+    const std::uint64_t good =
+        r.payloadBits - std::min(r.residualErrors, r.payloadBits);
+    r.payloadKbps = timing.kbps(good, r.durationCycles);
+    return r;
+}
 
 } // namespace
 

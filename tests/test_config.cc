@@ -294,25 +294,20 @@ TEST(ExperimentSpec, ValidatesCrossFieldConstraints)
     EXPECT_THROW(spec.validate(), ConfigError);
 }
 
-TEST(ExperimentSpec, RejectsPhySelectionOffTheCoherenceChannel)
+TEST(ExperimentSpec, RejectsPhySelectionsTheSessionWouldDrop)
 {
-    // The PHY stack modulates the coherence channel only; these
-    // combinations used to pass validation and abort mid-run.
+    // The PHY link runs one coherence-vector pair. Other vectors used
+    // to pass validation and abort mid-run; a fleet used to run its
+    // raw link without a word.
     ExperimentSpec spec;
     spec.channel.vector = VectorKind::dirty;
     spec.channel.phy.profile = PhyProfile::hammingSoft;
     EXPECT_THROW(spec.validate(), ConfigError);
-
-    spec = ExperimentSpec{};
     spec.channel.vector = VectorKind::lru;
+    spec.channel.phy.profile = PhyProfile::legacyParity;
     spec.channel.phy.adaptive = true;
     EXPECT_THROW(spec.validate(), ConfigError);
-}
 
-TEST(ExperimentSpec, RejectsPhySelectionOnAFleet)
-{
-    // Fleet pairs run the raw link; the PHY selection used to be
-    // dropped without a word.
     ConfigResolver res;
     res.applyPreset("fleet-quick");
     res.applyOverride("phy.profile", "hamming-soft", "cli");
@@ -329,11 +324,9 @@ TEST(ExperimentSpec, EccAndSymbolLinksRejectWhatTheyWouldIgnore)
         EXPECT_NO_THROW(spec.validateLink(link));
         spec.channel.vector = VectorKind::lru;
         EXPECT_THROW(spec.validateLink(link), ConfigError);
-
         spec = ExperimentSpec{};
         spec.fleet.pairs = 3;
         EXPECT_THROW(spec.validateLink(link), ConfigError);
-
         spec = ExperimentSpec{};
         spec.channel.phy.profile = PhyProfile::hammingHard;
         EXPECT_THROW(spec.validateLink(link), ConfigError);
