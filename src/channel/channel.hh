@@ -255,6 +255,7 @@ class ExperimentRig
     Process *spyProc = nullptr;
     SharedBlock shared;
     std::unique_ptr<PlacerCrew> crew;
+    /** Pair tag of this rig's adversaries (0: single-pair session). */
     std::uint32_t pairId = 0;
 };
 

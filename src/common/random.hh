@@ -26,7 +26,7 @@ namespace csim
  * Decorrelated per-job seed: one splitmix64 step of the base seed at
  * stream position @p index. Bit-exact on every platform, and jobs
  * with adjacent indices get statistically independent streams. Both
- * the host-parallel runner and the fleet orchestrator derive their
+ * the host-parallel runner and the fleet sessions derive their
  * per-unit seeds through this, so results never depend on execution
  * order.
  */

@@ -25,7 +25,7 @@
 #include <vector>
 
 // deriveSeed — the per-job seed derivation every sweep relies on —
-// lives in the utility layer now so the channel's fleet orchestrator
+// lives in the utility layer now so the channel's fleet sessions
 // can share it; re-exported here because the runner is where sweep
 // authors look for it.
 #include "common/random.hh"
