@@ -1,7 +1,7 @@
 /**
  * @file
  * Covert-channel experiment configuration and per-pair rig state:
- * the ChannelConfig every driver consumes, the ChannelReport a
+ * the ChannelConfig a session consumes, the ChannelReport a
  * transmission produces, the core placement plan, and the
  * ExperimentRig holding one trojan/spy pair's processes, shared
  * block and loader crew. The session driver (channel/session.hh)
@@ -182,7 +182,7 @@ struct ChannelReport
 };
 
 /**
- * Core placement plan shared by all experiment drivers, mirroring the
+ * Core placement plan of a single-pair session, mirroring the
  * paper's pinning (spy on socket 0; trojan loaders on both sockets;
  * noise threads spread over the remaining cores, oversubscribing
  * loader cores once the free ones are exhausted).

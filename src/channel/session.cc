@@ -280,7 +280,7 @@ class Session
             pair.link->prepare(*pair.run);
             const std::string suffix =
                 rig.pairId == 0 ? "" : msgCat(".p", rig.pairId);
-            SimThread *threads[2];
+            SimThread *threads[2];  // [spy, trojan]: trojan spawns first
             for (const bool trojan : {true, false}) {
                 threads[trojan] = machine_.kernel.spawnThread(
                     machine_.sched,
