@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "common/random.hh"
 #include "sim/memory_backend.hh"
 #include "sim/scheduler.hh"
 #include "sim/sync.hh"
@@ -410,6 +413,218 @@ TEST_F(SimTest, InvalidCorePinningIsFatal)
                                  co_await api.spin(1);
                              }),
                  std::runtime_error);
+}
+
+/**
+ * Pinned schedules. Each mix is a seeded random set of threads over
+ * a few shared cores with a short quantum; its complete op log and
+ * sched.* trace stream are hashed against digests recorded from the
+ * original all-threads scan, so any change to pick order, core
+ * accounting or preemption changes a digest.
+ */
+struct PinnedMix
+{
+    std::uint64_t seed;
+    int cores;
+    int threads;
+    int ops;            //!< ops per thread
+    Tick quantum;
+    Tick penalty;
+    std::uint64_t digest;
+};
+
+/** Shared between the bodies of one mix. */
+struct MixState
+{
+    int cores = 1;
+    int spawnsLeft = 0;  //!< mid-run spawns the bodies may still make
+};
+
+Task
+nestedOps(ThreadApi api, std::uint64_t seed, int depth)
+{
+    Rng rng(seed);
+    const auto n = 1 + rng.below(3);
+    for (std::uint64_t i = 0; i < n; ++i) {
+        co_await api.spin(rng.below(200));
+        co_await api.load(rng.below(64) * 64);
+    }
+    if (depth > 0)
+        co_await nestedOps(api, rng.next(), depth - 1);
+}
+
+Task
+randomBody(ThreadApi api, MixState *mix, std::uint64_t seed, int ops,
+           bool throws)
+{
+    Rng rng(seed);
+    const auto throw_at =
+        throws ? static_cast<int>(rng.below(static_cast<std::uint64_t>(
+                     ops)))
+               : -1;
+    for (int i = 0; i < ops; ++i) {
+        if (i == throw_at)
+            throw std::runtime_error("scripted failure");
+        const VAddr addr = rng.below(32) * 64;
+        switch (rng.below(10)) {
+          case 0:
+            co_await api.load(addr);
+            break;
+          case 1:
+            co_await api.store(addr);
+            break;
+          case 2:
+            co_await api.flush(addr);
+            break;
+          case 3:
+          case 4:
+            co_await api.spin(rng.below(400));
+            break;
+          case 5:
+            // Targets ahead of the clock and already in the past.
+            co_await api.spinUntil(rng.below(2) != 0
+                                       ? api.now() + rng.below(1'500)
+                                       : rng.below(api.now() + 1));
+            break;
+          case 6:
+            co_await api.sleep(rng.below(5'000));
+            break;
+          case 7:
+            co_await nestedOps(api, rng.next(), static_cast<int>(
+                                                    rng.below(3)));
+            break;
+          case 8:
+            if (mix->spawnsLeft > 0) {
+                --mix->spawnsLeft;
+                const auto core = static_cast<CoreId>(rng.below(
+                    static_cast<std::uint64_t>(mix->cores)));
+                const std::uint64_t child = rng.next();
+                api.scheduler()->spawn(
+                    "child", core, 0,
+                    [mix, child, ops](ThreadApi a) {
+                        return randomBody(a, mix, child, ops / 2,
+                                          false);
+                    });
+            }
+            co_await api.spin(10);
+            break;
+          default:
+            co_await api.load(addr);
+            co_await api.spin(rng.below(50));
+            break;
+        }
+    }
+}
+
+std::uint64_t
+fnv(std::uint64_t h, std::uint64_t v)
+{
+    for (int i = 0; i < 8; ++i) {
+        h ^= (v >> (8 * i)) & 0xff;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+std::uint64_t
+scheduleDigest(const PinnedMix &mix)
+{
+    RecordingBackend be;
+    TraceBus bus;
+    std::vector<TraceEvent> events;
+    bus.subscribe(categoryBit(TraceCategory::sched),
+                  [&events](const TraceEvent &ev) {
+                      events.push_back(ev);
+                  });
+    SchedulerParams params;
+    params.quantum = mix.quantum;
+    params.contextSwitchPenalty = mix.penalty;
+    Scheduler sched(&be, mix.cores, params);
+    sched.setTraceBus(&bus);
+    MixState state;
+    state.cores = mix.cores;
+    state.spawnsLeft = 3;
+
+    Rng rng(mix.seed);
+    // Core 0 always holds a hog that outlives its quantum while its
+    // only waiter sleeps, i.e. is resume-pending, not issuing.
+    sched.spawn("sleeper", 0, 0, [](ThreadApi api) -> Task {
+        co_await api.sleep(9'000);
+        for (int i = 0; i < 5; ++i)
+            co_await api.spin(300);
+    });
+    sched.spawn("hog", 0, 0, [](ThreadApi api) -> Task {
+        for (int i = 0; i < 40; ++i)
+            co_await api.spin(700);
+    });
+    for (int t = 0; t < mix.threads; ++t) {
+        const auto core = static_cast<CoreId>(
+            rng.below(static_cast<std::uint64_t>(mix.cores)));
+        const std::uint64_t seed = rng.next();
+        const bool throws = t % 5 == 4;
+        MixState *st = &state;
+        const int ops = mix.ops;
+        sched.spawn("t" + std::to_string(t), core, 0,
+                    [st, seed, ops, throws](ThreadApi api) {
+                        return randomBody(api, st, seed, ops, throws);
+                    });
+    }
+
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (;;) {
+        try {
+            sched.run();
+            break;
+        } catch (const std::runtime_error &) {
+            h = fnv(h, sched.now());
+        }
+    }
+    EXPECT_TRUE(sched.allFinished());
+    for (const auto &op : be.ops) {
+        h = fnv(h, static_cast<std::uint64_t>(op.kind));
+        h = fnv(h, static_cast<std::uint64_t>(op.tid));
+        h = fnv(h, static_cast<std::uint64_t>(op.core));
+        h = fnv(h, op.addr);
+        h = fnv(h, op.when);
+    }
+    for (const auto &ev : events) {
+        h = fnv(h, static_cast<std::uint64_t>(ev.type));
+        h = fnv(h, static_cast<std::uint64_t>(ev.core));
+        h = fnv(h, ev.when);
+        h = fnv(h, ev.a);
+        h = fnv(h, ev.b);
+    }
+    for (const auto &t : sched.threads()) {
+        h = fnv(h, t->now);
+        h = fnv(h, t->opsExecuted);
+    }
+    return h;
+}
+
+TEST(PinnedSchedule, RandomMixesMatchRecordedDigests)
+{
+    const PinnedMix mixes[] = {
+        {1, 1, 4, 40, 600, 50,
+         12682613125676984468ULL},
+        {2, 2, 6, 60, 1'500, 200,
+         13135307023722401134ULL},
+        {3, 3, 9, 50, 3'000, 500,
+         17449067955158473713ULL},
+        {4, 4, 12, 40, 400, 0,
+         4686427552793648853ULL},
+        {5, 6, 14, 60, 2'000, 100,
+         11529027678629504531ULL},
+        {6, 12, 20, 30, 800, 500,
+         16982954644728996878ULL},
+        {7, 2, 3, 120, 300, 20,
+         17974467442408623130ULL},
+        {8, 5, 16, 50, 1'000, 300,
+         2405366947007826781ULL},
+    };
+    for (const PinnedMix &mix : mixes) {
+        EXPECT_EQ(scheduleDigest(mix), mix.digest)
+            << "mix seed " << mix.seed;
+    }
 }
 
 TEST(SchedulerConstruction, RejectsBadArguments)
