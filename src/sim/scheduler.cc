@@ -7,6 +7,25 @@
 namespace csim
 {
 
+namespace
+{
+
+/** Above every key that may run: only an issue at maxTick or an idle
+ *  core sorts here, and neither is ever picked. */
+constexpr unsigned __int128 noPick =
+    static_cast<unsigned __int128>(maxTick) << 64 |
+    static_cast<unsigned __int128>(1) << 32;
+
+unsigned __int128
+pickKey(Tick time, bool is_resume, ThreadId tid)
+{
+    return static_cast<unsigned __int128>(time) << 64 |
+           static_cast<unsigned __int128>(is_resume ? 0 : 1) << 32 |
+           static_cast<std::uint32_t>(tid);
+}
+
+} // namespace
+
 Scheduler::Scheduler(MemoryBackend *backend, int num_cores,
                      SchedulerParams params)
     : backend_(backend), params_(params)
@@ -14,6 +33,8 @@ Scheduler::Scheduler(MemoryBackend *backend, int num_cores,
     fatal_if(num_cores <= 0, "scheduler needs at least one core");
     fatal_if(!backend, "scheduler needs a memory backend");
     cores_.resize(static_cast<std::size_t>(num_cores));
+    occupied_.reserve(cores_.size());
+    tree_.assign(2 * cores_.size(), ~PickKey{0});
 }
 
 Scheduler::~Scheduler() = default;
@@ -31,7 +52,17 @@ Scheduler::spawn(const std::string &name, CoreId core, ProcessId pid,
     ThreadApi api(thread.get(), this);
     thread->installBody(std::move(body), api);
     threads_.push_back(std::move(thread));
-    return threads_.back().get();
+
+    SimThread *t = threads_.back().get();
+    auto &cs = cores_[static_cast<std::size_t>(core)];
+    t->nextOnCore = cs.threads;
+    cs.threads = t;
+    ++cs.unfinished;
+    if (cs.leaf == 0)
+        occupy(cs);
+    else
+        refresh(cs);
+    return t;
 }
 
 bool
@@ -39,16 +70,6 @@ Scheduler::allFinished() const
 {
     return std::all_of(threads_.begin(), threads_.end(),
                        [](const auto &t) { return t->finished; });
-}
-
-bool
-Scheduler::hasWaiter(CoreId core, ThreadId except) const
-{
-    for (const auto &t : threads_) {
-        if (t->id() != except && !t->finished && t->core() == core)
-            return true;
-    }
-    return false;
 }
 
 Tick
@@ -63,57 +84,76 @@ Scheduler::effectiveStart(const SimThread &t) const
     return start;
 }
 
-SimThread *
-Scheduler::pickNext()
+Scheduler::PickKey
+Scheduler::bestOf(const CoreState &core) const
 {
     // Two event kinds compete: coroutine resumes (at an op's
     // completion time) and op issues (at an op's start time).
     // Resumes run first at equal times so shared state written by a
     // coroutine at virtual time T is visible to every operation
-    // issued at or after T.
-    SimThread *best = nullptr;
-    Tick best_time = maxTick;
-    bool best_is_resume = false;
-    auto consider = [&](SimThread *t, Tick time, bool is_resume) {
-        if (time < best_time ||
-            (time == best_time && is_resume && !best_is_resume)) {
-            best = t;
-            best_time = time;
-            best_is_resume = is_resume;
+    // issued at or after T. A thread whose quantum expired sits out
+    // while another thread pinned here is unfinished.
+    PickKey best = ~PickKey{0};
+    for (const SimThread *t = core.threads; t; t = t->nextOnCore) {
+        if (t->resumePending) {
+            best = std::min(best, pickKey(t->now, true, t->id()));
+        } else if (t->pending.kind != MemOp::Kind::none &&
+                   !(core.mustYield && core.lastThread == t->id() &&
+                     core.unfinished > 1)) {
+            best = std::min(best,
+                            pickKey(effectiveStart(*t), false, t->id()));
         }
-    };
-    auto scan = [&](bool honor_yield) {
-        for (const auto &tp : threads_) {
-            SimThread &t = *tp;
-            if (t.finished)
-                continue;
-            if (t.resumePending) {
-                consider(&t, t.now, true);
-            } else if (t.pending.kind != MemOp::Kind::none) {
-                const auto &core =
-                    cores_[static_cast<std::size_t>(t.core())];
-                if (honor_yield && core.mustYield &&
-                    core.lastThread == t.id() &&
-                    hasWaiter(t.core(), t.id())) {
-                    continue;
-                }
-                consider(&t, effectiveStart(t), false);
-            }
-        }
-    };
-    scan(true);
-    if (!best) {
-        // Everyone skipped for quantum reasons: clear yield flags and
-        // rescan so we never deadlock.
-        bool any_yield = false;
-        for (auto &c : cores_) {
-            any_yield = any_yield || c.mustYield;
-            c.mustYield = false;
-        }
-        if (any_yield)
-            scan(false);
     }
     return best;
+}
+
+void
+Scheduler::refresh(CoreState &core)
+{
+    // Every input to a thread's key is the thread's own state or its
+    // core's, so a step changes only the stepped core's leaf. Carry
+    // the running min up the path and load only the siblings.
+    std::size_t i = core.leaf;
+    PickKey key = bestOf(core);
+    tree_[i] = key;
+    for (; i > 1; i >>= 1) {
+        key = std::min(key, tree_[i ^ 1]);
+        tree_[i >> 1] = key;
+    }
+}
+
+void
+Scheduler::occupy(CoreState &core)
+{
+    occupied_.push_back(&core);
+    const std::size_t n = occupied_.size();
+    for (std::size_t k = 0; k < n; ++k) {
+        occupied_[k]->leaf = n + k;
+        tree_[n + k] = bestOf(*occupied_[k]);
+    }
+    for (std::size_t i = n - 1; i >= 1; --i)
+        tree_[i] = std::min(tree_[2 * i], tree_[2 * i + 1]);
+}
+
+SimThread *
+Scheduler::pickNext()
+{
+    const PickKey root = tree_[1];
+    if (root < noPick)
+        return threads_[static_cast<std::uint32_t>(root)].get();
+    // A thread sits out its expired quantum only while another
+    // unfinished thread is pinned to its core. That thread is a
+    // resume or issue candidate itself and is never the one sitting
+    // out, so a yield can never leave every core idle.
+    for (const CoreState *core : occupied_) {
+        panic_if(core->mustYield && core->unfinished > 1 &&
+                     core->lastThread != invalidThread &&
+                     !threads_[static_cast<std::size_t>(
+                                   core->lastThread)]
+                          ->finished,
+                 "scheduler idle while a yielding thread waits");
+    }
+    return nullptr;
 }
 
 void
@@ -125,7 +165,15 @@ Scheduler::resume(SimThread &t)
              " has no coroutine frame to resume");
     t.current.resume();
 
+    auto &core = cores_[static_cast<std::size_t>(t.core())];
     if (t.finished) {
+        SimThread **link = &core.threads;
+        while (*link != &t)
+            link = &(*link)->nextOnCore;
+        *link = t.nextOnCore;
+        t.nextOnCore = nullptr;
+        --core.unfinished;
+        refresh(core);
         auto h = t.program().handle();
         if (h && h.promise().exception)
             std::rethrow_exception(h.promise().exception);
@@ -133,6 +181,7 @@ Scheduler::resume(SimThread &t)
         panic_if(t.pending.kind == MemOp::Kind::none,
                  "thread ", t.name(),
                  " suspended without a pending operation");
+        refresh(core);
     }
 }
 
@@ -157,6 +206,7 @@ Scheduler::execute(SimThread &t)
                 t.core(), start, 0,
                 static_cast<std::uint64_t>(t.id()), t.lastLatency});
         }
+        refresh(core);
         return;
     }
     const Tick start = effectiveStart(t);
@@ -211,7 +261,7 @@ Scheduler::execute(SimThread &t)
     ++t.opsExecuted;
     core.freeAt = t.now;
     if (t.now - core.acquiredAt > params_.quantum &&
-        hasWaiter(t.core(), t.id())) {
+        core.unfinished > 1) {
         core.mustYield = true;
         if (trace_ && trace_->enabled<TraceCategory::sched>()) {
             trace_->publish(TraceEvent{
@@ -221,8 +271,9 @@ Scheduler::execute(SimThread &t)
         }
     }
     // The coroutine resumes when the operation completes, in global
-    // completion-time order (see pickNext).
+    // completion-time order (see bestOf).
     t.resumePending = true;
+    refresh(core);
 }
 
 bool
@@ -241,11 +292,21 @@ Scheduler::stepOne()
 void
 Scheduler::run(Tick until, const std::function<bool()> &stop_when)
 {
+    // Only a resume runs simulated code, so only a resume can flip
+    // a predicate that reads coroutine-written state.
+    if (stop_when && stop_when())
+        return;
     while (globalNow_ < until) {
-        if (stop_when && stop_when())
+        SimThread *t = pickNext();
+        if (!t)
             return;
-        if (!stepOne())
-            return;
+        if (!t->resumePending) {
+            execute(*t);
+        } else {
+            resume(*t);
+            if (stop_when && stop_when())
+                return;
+        }
     }
 }
 

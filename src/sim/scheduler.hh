@@ -74,8 +74,11 @@ class Scheduler
      * Execute pending operations in virtual-time order.
      *
      * Stops when all threads finished, when the global clock passes
-     * @p until, or when @p stop_when returns true (checked between
-     * operations).
+     * @p until, or when @p stop_when returns true. The predicate is
+     * checked on entry and after every coroutine resume, not after
+     * op issues, which run no simulated code: it may read only
+     * state that coroutines write (a thread's `finished` flag,
+     * variables set by thread bodies), never the scheduler's clocks.
      */
     void run(Tick until = maxTick,
              const std::function<bool()> &stop_when = {});
@@ -112,12 +115,26 @@ class Scheduler
     TraceBus *traceBus() const { return trace_; }
 
   private:
+    /**
+     * Pick order as one packed integer:
+     * `(time << 64) | (resume ? 0 : 1) << 32 | threadId`. The
+     * smallest key runs next: earliest time, then resumes before
+     * issues, then spawn order.
+     */
+    using PickKey = unsigned __int128;
+
     struct CoreState
     {
         Tick freeAt = 0;          //!< core busy until this tick
         ThreadId lastThread = invalidThread;
         Tick acquiredAt = 0;      //!< when lastThread got the core
         bool mustYield = false;   //!< quantum expired, switch next
+        int unfinished = 0;       //!< unfinished threads pinned here
+        /** Unfinished threads pinned here, via SimThread::nextOnCore. */
+        SimThread *threads = nullptr;
+        /** Index of this core's leaf in tree_; 0 while no thread was
+         *  ever pinned here. */
+        std::size_t leaf = 0;
     };
 
     /** Earliest tick at which @p t's pending op could start. */
@@ -135,13 +152,28 @@ class Scheduler
     /** Resume @p t's coroutine at its op's completion time. */
     void resume(SimThread &t);
 
-    /** True if another unfinished thread is pinned to @p core. */
-    bool hasWaiter(CoreId core, ThreadId except) const;
+    /** Smallest pick key among @p core's threads. */
+    PickKey bestOf(const CoreState &core) const;
+
+    /** Re-derive @p core's key and propagate it to the tree root. */
+    void refresh(CoreState &core);
+
+    /** Give @p core a leaf and rebuild the tree over all occupied
+     *  cores. */
+    void occupy(CoreState &core);
 
     MemoryBackend *backend_;
     SchedulerParams params_;
     std::vector<CoreState> cores_;
     std::vector<std::unique_ptr<SimThread>> threads_;
+    /** Cores with at least one pinned thread, in leaf order. */
+    std::vector<CoreState *> occupied_;
+    /**
+     * Min-tree over the occupied cores' keys: leaves at
+     * [n, 2n) for n occupied cores, node i = min(2i, 2i+1), root 1.
+     * Sized for every core up front so spawn never allocates.
+     */
+    std::vector<PickKey> tree_;
     Tick globalNow_ = 0;
     TraceBus *trace_ = nullptr;
 };

@@ -86,6 +86,11 @@ class SimThread
      * events it publishes carry the pair id.
      */
     std::uint32_t pairTag = 0;
+    /**
+     * Next unfinished thread pinned to the same core (the
+     * scheduler's intrusive per-core list; nullptr at the end).
+     */
+    SimThread *nextOnCore = nullptr;
 
     /**
      * Install the top-level coroutine body. The factory is moved
