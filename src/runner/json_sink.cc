@@ -299,8 +299,18 @@ class JsonParser
     {
         skipWhitespace();
         switch (peek()) {
-          case '{': return parseObject();
-          case '[': return parseArray();
+          case '{':
+          case '[': {
+            // Each level recurses, so hostile nesting would overflow
+            // the stack; no real document comes close to the limit.
+            if (++depth_ > maxDepth)
+                fail(msgCat("nesting deeper than ", maxDepth,
+                            " levels"));
+            Json container =
+                peek() == '{' ? parseObject() : parseArray();
+            --depth_;
+            return container;
+          }
           case '"': return Json(parseString());
           case 't': literal("true"); return Json(true);
           case 'f': literal("false"); return Json(false);
@@ -490,8 +500,11 @@ class JsonParser
         }
     }
 
+    static constexpr int maxDepth = 512;
+
     const std::string &text_;
     std::size_t pos_ = 0;
+    int depth_ = 0;  //!< open arrays and objects around pos_
 };
 
 } // namespace

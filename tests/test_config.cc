@@ -75,6 +75,29 @@ TEST(JsonParser, RejectsTrailingContent)
     EXPECT_THROW(parseJson(""), JsonParseError);
 }
 
+TEST(JsonParser, RejectsHostileNestingWithAnError)
+{
+    // 200k levels overflowed the stack of the recursive parser.
+    const std::string deep(200'000, '[');
+    try {
+        parseJson(deep);
+        FAIL() << "expected JsonParseError";
+    } catch (const JsonParseError &e) {
+        EXPECT_EQ(e.line, 1);
+        EXPECT_EQ(e.column, 513);
+    }
+    const std::string objects = [] {
+        std::string s;
+        for (int i = 0; i < 100'000; ++i)
+            s += "{\"k\":";
+        return s;
+    }();
+    EXPECT_THROW(parseJson(objects), JsonParseError);
+    // 512 levels still parse.
+    const std::string ok = std::string(512, '[') + std::string(512, ']');
+    EXPECT_TRUE(parseJson(ok).isArray());
+}
+
 TEST(JsonParser, RoundTripsDump)
 {
     Json root = Json::object();
