@@ -5,8 +5,9 @@
  *
  * Each kernel drives one hot path of `MemorySystem` in a steady state
  * (L1 hit, LLC serve, cross-socket forward, flush+reload round,
- * directory churn) plus one end-to-end run of the `fig08-sweep`
- * preset, and reports host ops/sec alongside the mean *virtual*
+ * directory churn), one end-to-end run of the `fig08-sweep` preset
+ * and the scheduler's pick/resume loop with 4 and 48 spinning
+ * threads, and reports host ops/sec alongside the mean *virtual*
  * cycles per op. The results land in `BENCH_perf.json`.
  *
  * Host throughput is machine-dependent, so the suite also times a
@@ -36,6 +37,7 @@
 #include "cohersim/attack.hh"
 #include "cohersim/harness.hh"
 #include "prof/profiler.hh"
+#include "sim/scheduler.hh"
 
 namespace
 {
@@ -284,6 +286,69 @@ kernelFig08EndToEnd()
     return r;
 }
 
+/** Backend of the spin-only kernels, which never touch memory. */
+class NoMemory : public MemoryBackend
+{
+  public:
+    AccessResult
+    load(ThreadId, CoreId, VAddr, Tick) override
+    {
+        panic("spin kernel issued a load");
+    }
+    AccessResult
+    store(ThreadId, CoreId, VAddr, Tick) override
+    {
+        panic("spin kernel issued a store");
+    }
+    AccessResult
+    flush(ThreadId, CoreId, VAddr, Tick) override
+    {
+        panic("spin kernel issued a flush");
+    }
+};
+
+Task
+spinLoop(ThreadApi api, std::uint64_t ops, Tick cycles)
+{
+    for (std::uint64_t i = 0; i < ops; ++i)
+        co_await api.spin(cycles);
+}
+
+/**
+ * @p threads threads, one per core, each spinning a fixed number of
+ * ops: the scheduler's pick/resume loop with no memory traffic. One
+ * op = one spin; every thread must end at exactly ops x spin cycles.
+ */
+KernelResult
+kernelSchedSpin(int threads, int reps, double min_seconds)
+{
+    constexpr Tick spin = 100;
+    constexpr std::uint64_t per_thread = 2'000;
+    NoMemory backend;
+    return measureKernel(
+        msgCat("sched_spin_t", threads), reps, min_seconds,
+        [&backend, threads](std::uint64_t &ops,
+                            std::uint64_t &vcycles) {
+            Scheduler sched(&backend, threads);
+            for (int t = 0; t < threads; ++t) {
+                sched.spawn("spin", t, 0, [](ThreadApi api) {
+                    return spinLoop(api, per_thread, spin);
+                });
+            }
+            sched.run();
+            for (const auto &t : sched.threads()) {
+                fatal_if(!t->finished || t->now != per_thread * spin,
+                         "sched_spin_t", threads, ": thread ended at "
+                         "cycle ", t->now, ", expected ",
+                         per_thread * spin);
+            }
+            const auto n =
+                per_thread * static_cast<std::uint64_t>(threads);
+            ops += n;
+            vcycles += n * spin;
+        });
+}
+
 /**
  * Per-kernel self-profile: re-run each mem kernel briefly off then
  * on and report the sampled span breakdown plus the
@@ -491,6 +556,8 @@ main(int argc, char **argv)
     results.push_back(kernelFlushReloadCycle(reps, min_seconds));
     results.push_back(kernelDirectoryChurn(reps, min_seconds));
     results.push_back(kernelFig08EndToEnd());
+    results.push_back(kernelSchedSpin(4, reps, min_seconds));
+    results.push_back(kernelSchedSpin(48, reps, min_seconds));
 
     TablePrinter table;
     table.row({"kernel", "ops/sec", "ns/op", "virt cycles/op"});
