@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <iterator>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -526,6 +529,34 @@ fnv(std::uint64_t h, std::uint64_t v)
     return h;
 }
 
+/** Fold a finished run's op log, sched.* trace and end clocks into
+ *  @p h. */
+std::uint64_t
+hashOutcome(std::uint64_t h, const RecordingBackend &be,
+            const std::vector<TraceEvent> &events,
+            const Scheduler &sched)
+{
+    for (const auto &op : be.ops) {
+        h = fnv(h, static_cast<std::uint64_t>(op.kind));
+        h = fnv(h, static_cast<std::uint64_t>(op.tid));
+        h = fnv(h, static_cast<std::uint64_t>(op.core));
+        h = fnv(h, op.addr);
+        h = fnv(h, op.when);
+    }
+    for (const auto &ev : events) {
+        h = fnv(h, static_cast<std::uint64_t>(ev.type));
+        h = fnv(h, static_cast<std::uint64_t>(ev.core));
+        h = fnv(h, ev.when);
+        h = fnv(h, ev.a);
+        h = fnv(h, ev.b);
+    }
+    for (const auto &t : sched.threads()) {
+        h = fnv(h, t->now);
+        h = fnv(h, t->opsExecuted);
+    }
+    return h;
+}
+
 std::uint64_t
 scheduleDigest(const PinnedMix &mix)
 {
@@ -580,25 +611,7 @@ scheduleDigest(const PinnedMix &mix)
         }
     }
     EXPECT_TRUE(sched.allFinished());
-    for (const auto &op : be.ops) {
-        h = fnv(h, static_cast<std::uint64_t>(op.kind));
-        h = fnv(h, static_cast<std::uint64_t>(op.tid));
-        h = fnv(h, static_cast<std::uint64_t>(op.core));
-        h = fnv(h, op.addr);
-        h = fnv(h, op.when);
-    }
-    for (const auto &ev : events) {
-        h = fnv(h, static_cast<std::uint64_t>(ev.type));
-        h = fnv(h, static_cast<std::uint64_t>(ev.core));
-        h = fnv(h, ev.when);
-        h = fnv(h, ev.a);
-        h = fnv(h, ev.b);
-    }
-    for (const auto &t : sched.threads()) {
-        h = fnv(h, t->now);
-        h = fnv(h, t->opsExecuted);
-    }
-    return h;
+    return hashOutcome(h, be, events, sched);
 }
 
 TEST(PinnedSchedule, RandomMixesMatchRecordedDigests)
@@ -625,6 +638,435 @@ TEST(PinnedSchedule, RandomMixesMatchRecordedDigests)
         EXPECT_EQ(scheduleDigest(mix), mix.digest)
             << "mix seed " << mix.seed;
     }
+}
+
+/**
+ * Pinned pollers. Pollers wait on a control byte the way the
+ * channel's placer loaders do, writers flip those bytes on a script
+ * (many flips land exactly on a poll boundary), and seeded random
+ * threads share the cores. The op log, the sched.* trace, every
+ * thread's end clock and sched.now() after each run() return are
+ * hashed against digests recorded with the pollers written as plain
+ * `while (*w == v) co_await spin(P)` loops.
+ */
+struct PollCtl
+{
+    enum class Mode : std::uint8_t
+    {
+        idle,
+        work,
+        stop,
+    };
+    Mode mode = Mode::idle;
+};
+
+/** One step of a writer's script. */
+struct PollStep
+{
+    enum class Kind : std::uint8_t
+    {
+        flip,   //!< at tick `at`, set ctl `target` to `mode`
+        flag,   //!< at tick `at`, raise the stop flag
+        raise,  //!< at tick `at`, throw out of run()
+        sleep,  //!< sleep for `at` cycles
+        spawn,  //!< at tick `at`, spawn a short worker on core `target`
+    };
+    Kind kind;
+    Tick at;
+    int target = 0;
+    PollCtl::Mode mode = PollCtl::Mode::idle;
+};
+
+struct PollThread
+{
+    enum class Role : std::uint8_t
+    {
+        poller,
+        writer,
+        noise,  //!< randomBody, spawns included
+    };
+    Role role;
+    CoreId core;
+    int ctl = 0;                   //!< poller: the byte it watches
+    Tick poll = 0;                 //!< poller: cycles per poll
+    std::vector<PollStep> script;  //!< writer
+    std::uint64_t seed = 0;        //!< noise
+    bool throws = false;           //!< noise
+};
+
+struct PollScenario
+{
+    int cores;
+    Tick quantum;
+    Tick penalty;
+    int ctls;
+    std::vector<PollThread> threads;  //!< in spawn order (= thread id)
+    /** run(until) calls, then run(stop on the flag), then run(). */
+    std::vector<Tick> untils;
+};
+
+/** State the bodies of one scenario share. */
+struct PollWorld
+{
+    std::vector<PollCtl> ctls;
+    bool flag = false;
+    /** Coroutine wake-ups of the pollers while idle. */
+    std::uint64_t idleWakes = 0;
+};
+
+Task
+pollerBody(ThreadApi api, PollWorld *world, int ctl, Tick poll)
+{
+    PollCtl &c = world->ctls[static_cast<std::size_t>(ctl)];
+    for (;;) {
+        switch (c.mode) {
+          case PollCtl::Mode::stop:
+            co_return;
+          case PollCtl::Mode::work:
+            co_await api.load(0x40 * static_cast<VAddr>(ctl));
+            co_await api.spin(poll / 3);
+            break;
+          case PollCtl::Mode::idle:
+            while (c.mode == PollCtl::Mode::idle) {
+                ++world->idleWakes;
+                co_await api.spin(poll);
+            }
+            break;
+        }
+    }
+}
+
+Task
+writerBody(ThreadApi api, PollWorld *world,
+           const std::vector<PollStep> *script)
+{
+    for (const PollStep &s : *script) {
+        switch (s.kind) {
+          case PollStep::Kind::flip:
+            co_await api.spinUntil(s.at);
+            world->ctls[static_cast<std::size_t>(s.target)].mode = s.mode;
+            break;
+          case PollStep::Kind::flag:
+            co_await api.spinUntil(s.at);
+            world->flag = true;
+            break;
+          case PollStep::Kind::raise:
+            co_await api.spinUntil(s.at);
+            throw std::runtime_error("scripted failure");
+          case PollStep::Kind::sleep:
+            co_await api.sleep(s.at);
+            break;
+          case PollStep::Kind::spawn:
+            co_await api.spinUntil(s.at);
+            api.scheduler()->spawn(
+                "worker", s.target, 0, [](ThreadApi a) -> Task {
+                    for (int i = 0; i < 6; ++i) {
+                        co_await a.load(0x400 + 0x40 * static_cast<VAddr>(i));
+                        co_await a.spin(150);
+                    }
+                });
+            break;
+        }
+    }
+}
+
+std::uint64_t
+pollDigest(const PollScenario &s)
+{
+    RecordingBackend be;
+    TraceBus bus;
+    SchedulerParams params;
+    params.quantum = s.quantum;
+    params.contextSwitchPenalty = s.penalty;
+    Scheduler sched(&be, s.cores, params);
+    sched.setTraceBus(&bus);
+    // sched.now() as a subscriber sees it, at every sched.* event.
+    std::vector<TraceEvent> events;
+    std::vector<Tick> seen;
+    bus.subscribe(categoryBit(TraceCategory::sched),
+                  [&events, &seen, &sched](const TraceEvent &ev) {
+                      events.push_back(ev);
+                      seen.push_back(sched.now());
+                  });
+    PollWorld world;
+    world.ctls.resize(static_cast<std::size_t>(s.ctls));
+    MixState mix;
+    mix.cores = s.cores;
+    mix.spawnsLeft = 2;
+
+    PollWorld *w = &world;
+    MixState *m = &mix;
+    for (const PollThread &pt : s.threads) {
+        switch (pt.role) {
+          case PollThread::Role::poller:
+            sched.spawn("poller", pt.core, 0,
+                        [w, ctl = pt.ctl, poll = pt.poll](ThreadApi api) {
+                            return pollerBody(api, w, ctl, poll);
+                        });
+            break;
+          case PollThread::Role::writer:
+            sched.spawn("writer", pt.core, 0,
+                        [w, script = &pt.script](ThreadApi api) {
+                            return writerBody(api, w, script);
+                        });
+            break;
+          case PollThread::Role::noise:
+            sched.spawn("noise", pt.core, 0,
+                        [m, seed = pt.seed,
+                         throws = pt.throws](ThreadApi api) {
+                            return randomBody(api, m, seed, 30, throws);
+                        });
+            break;
+        }
+    }
+
+    // Every return from run(), an exception's included, must leave
+    // the global clock and every thread's clock as stepping would.
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    const auto snapshot = [&] {
+        h = fnv(h, sched.now());
+        for (const auto &t : sched.threads()) {
+            h = fnv(h, t->now);
+            h = fnv(h, t->opsExecuted);
+        }
+    };
+    const auto run = [&](Tick until, const std::function<bool()> &stop) {
+        for (;;) {
+            try {
+                sched.run(until, stop);
+                break;
+            } catch (const std::runtime_error &) {
+                snapshot();
+            }
+        }
+        snapshot();
+    };
+    for (const Tick until : s.untils)
+        run(until, {});
+    run(maxTick, [w] { return w->flag; });
+    run(maxTick, {});
+    EXPECT_TRUE(sched.allFinished());
+    for (const Tick now : seen)
+        h = fnv(h, now);
+    return hashOutcome(h, be, events, sched);
+}
+
+PollStep
+flip(Tick at, int ctl, PollCtl::Mode mode)
+{
+    return {PollStep::Kind::flip, at, ctl, mode};
+}
+
+/** Every ctl to stop at @p at, so the pollers finish. */
+void
+stopAll(std::vector<PollStep> &script, Tick at, int ctls)
+{
+    for (int c = 0; c < ctls; ++c)
+        script.push_back(flip(at, c, PollCtl::Mode::stop));
+}
+
+PollThread
+poller(CoreId core, int ctl, Tick poll)
+{
+    return {PollThread::Role::poller, core, ctl, poll, {}, 0, false};
+}
+
+PollThread
+writer(CoreId core, std::vector<PollStep> script)
+{
+    return {PollThread::Role::writer, core, 0, 0, std::move(script), 0,
+            false};
+}
+
+PollThread
+noise(CoreId core, std::uint64_t seed, bool throws = false)
+{
+    return {PollThread::Role::noise, core, 0, 0, {}, seed, throws};
+}
+
+/**
+ * A seeded mix: a writer spawned before the pollers (lower thread id)
+ * and one after (higher id), flips on multiples of 80 cycles, flips
+ * undone within one poll, sleeps, spawns, noise on shared cores and
+ * random run(until) cuts.
+ */
+PollScenario
+randomPollScenario(std::uint64_t seed)
+{
+    Rng rng(seed);
+    PollScenario s;
+    s.cores = 2 + static_cast<int>(rng.below(4));
+    s.quantum = 400 + rng.below(2'600);
+    s.penalty = 60 * rng.below(4);
+    s.ctls = 1 + static_cast<int>(rng.below(3));
+    const auto core = [&] {
+        return static_cast<CoreId>(
+            rng.below(static_cast<std::uint64_t>(s.cores)));
+    };
+    const auto ctl = [&] {
+        return static_cast<int>(
+            rng.below(static_cast<std::uint64_t>(s.ctls)));
+    };
+    Tick end = 0;
+    const auto script = [&](bool raises_flag) {
+        std::vector<PollStep> steps;
+        Tick t = 0;
+        const int n = 6 + static_cast<int>(rng.below(8));
+        for (int i = 0; i < n; ++i) {
+            t += 80 * (1 + rng.below(20));
+            switch (rng.below(6)) {
+              case 0:
+              case 1:
+                steps.push_back(flip(t, ctl(),
+                                     rng.below(3) != 0
+                                         ? PollCtl::Mode::work
+                                         : PollCtl::Mode::idle));
+                break;
+              case 2: {
+                const int c = ctl();
+                steps.push_back(flip(t, c, PollCtl::Mode::work));
+                steps.push_back(
+                    flip(t + rng.below(79), c, PollCtl::Mode::idle));
+                break;
+              }
+              case 3:
+                // Back to back: the second may start before its key.
+                steps.push_back({PollStep::Kind::sleep,
+                                 rng.below(3'000)});
+                steps.push_back({PollStep::Kind::sleep,
+                                 rng.below(1'000)});
+                break;
+              case 4:
+                steps.push_back({PollStep::Kind::spawn, t, core()});
+                break;
+              default:
+                steps.push_back(flip(t, ctl(), PollCtl::Mode::idle));
+                break;
+            }
+        }
+        if (raises_flag)
+            steps.push_back({PollStep::Kind::flag, t / 2});
+        t += 80 * (1 + rng.below(20));
+        stopAll(steps, t, s.ctls);
+        end = std::max(end, t);
+        return steps;
+    };
+    s.threads.push_back(writer(core(), script(true)));
+    const int pollers = 1 + static_cast<int>(rng.below(4));
+    for (int i = 0; i < pollers; ++i) {
+        static constexpr Tick polls[] = {80, 80, 64, 120};
+        s.threads.push_back(poller(core(), ctl(), polls[rng.below(4)]));
+    }
+    s.threads.push_back(writer(core(), script(false)));
+    const int noises = static_cast<int>(rng.below(3));
+    for (int i = 0; i < noises; ++i)
+        s.threads.push_back(noise(core(), rng.next(), i == 1));
+    Tick u = 0;
+    for (int i = static_cast<int>(rng.below(4)); i > 0; --i) {
+        u += rng.below(end / 3 + 1);
+        s.untils.push_back(rng.below(2) != 0 ? u : u / 80 * 80);
+    }
+    return s;
+}
+
+std::vector<PollScenario>
+pollScenarios()
+{
+    using M = PollCtl::Mode;
+    std::vector<PollScenario> out;
+    // Flips exactly on a poll boundary from a writer below (thread 0)
+    // and above (thread 3) the poller's id; the flip and its undo
+    // within one poll, and twice within one tick. The run(until)
+    // cuts fall where only the idle pollers have events.
+    out.push_back({4, 3'000, 500, 2,
+                   {writer(1, {flip(800, 1, M::work),
+                               flip(2'000, 1, M::idle),
+                               flip(4'010, 0, M::work),
+                               flip(4'050, 0, M::idle),
+                               flip(4'800, 0, M::work),
+                               flip(4'800, 0, M::idle)}),
+                    poller(0, 0, 80), poller(2, 1, 80),
+                    writer(3, {flip(1'600, 0, M::work),
+                               flip(3'200, 0, M::idle),
+                               flip(5'600, 1, M::work),
+                               flip(5'680, 1, M::idle),
+                               flip(7'000, 0, M::stop),
+                               flip(7'000, 1, M::stop)})},
+                   {500, 560, 561}});
+    // Workers spawned onto an idle lone poller's core, on a poll
+    // boundary and mid-poll: the poller shares the core (switch
+    // penalty, quantum), then its core-mates finish and it is alone
+    // again.
+    {
+        std::vector<PollStep> s = {{PollStep::Kind::spawn, 2'000, 0},
+                                   {PollStep::Kind::spawn, 2'400, 0},
+                                   {PollStep::Kind::spawn, 24'030, 0},
+                                   flip(30'000, 0, M::work)};
+        stopAll(s, 32'000, 1);
+        out.push_back({2, 400, 0, 1,
+                       {poller(0, 0, 80), writer(1, std::move(s))},
+                       {}});
+    }
+    // run(until) cut on an implied poll, on a poll boundary and one
+    // tick past it; back-to-back sleeps on another (contended) core
+    // while the poller idles, the second starting before its key's
+    // time; exceptions out of run(), one of them mid-poll while the
+    // poller idles; a stop-flag exit, then a second run().
+    {
+        std::vector<PollStep> s = {{PollStep::Kind::sleep, 700},
+                                   {PollStep::Kind::sleep, 500},
+                                   flip(2'400, 0, M::work),
+                                   {PollStep::Kind::sleep, 900},
+                                   flip(4'000, 0, M::idle),
+                                   {PollStep::Kind::flag, 4'500},
+                                   {PollStep::Kind::sleep, 1'300},
+                                   {PollStep::Kind::sleep, 300}};
+        stopAll(s, 8'000, 1);
+        out.push_back({3, 1'000, 200, 1,
+                       {poller(0, 0, 80), noise(2, 99),
+                        writer(2, std::move(s)), noise(1, 7, true),
+                        writer(1, {{PollStep::Kind::raise, 1'510}})},
+                       {1'000, 1'200, 1'201, 3'333, 4'100}});
+    }
+    // Pollers sharing their core with noise and with each other, so
+    // quantum expiry and switch penalties apply to their polls.
+    {
+        std::vector<PollStep> s = {flip(1'000, 0, M::work),
+                                   flip(1'500, 1, M::work),
+                                   flip(2'960, 0, M::idle),
+                                   flip(3'000, 1, M::idle)};
+        stopAll(s, 12'000, 2);
+        out.push_back({2, 500, 100, 2,
+                       {poller(0, 0, 80), noise(0, 5), poller(0, 1, 64),
+                        writer(1, std::move(s))},
+                       {2'000}});
+    }
+    for (std::uint64_t seed = 1; seed <= 8; ++seed)
+        out.push_back(randomPollScenario(seed));
+    return out;
+}
+
+TEST(PinnedPoll, ScriptedAndRandomMixesMatchRecordedDigests)
+{
+    const std::uint64_t digests[] = {
+        13121851544493771567ULL,
+        11414229972441098965ULL,
+        244050707071631041ULL,
+        16622880235155509692ULL,
+        13414491432070341104ULL,
+        14905157386286384843ULL,
+        12544447436812223323ULL,
+        6896098296821432800ULL,
+        9474757072007759497ULL,
+        17324187526397473894ULL,
+        6326885170674974370ULL,
+        7232713801057252837ULL,
+    };
+    const std::vector<PollScenario> scenarios = pollScenarios();
+    ASSERT_EQ(scenarios.size(), std::size(digests));
+    for (std::size_t i = 0; i < scenarios.size(); ++i)
+        EXPECT_EQ(pollDigest(scenarios[i]), digests[i])
+            << "scenario " << i;
 }
 
 TEST(SchedulerConstruction, RejectsBadArguments)
