@@ -24,6 +24,30 @@ pickKey(Tick time, bool is_resume, ThreadId tid)
            static_cast<std::uint32_t>(tid);
 }
 
+Tick
+keyTime(unsigned __int128 key)
+{
+    return static_cast<Tick>(key >> 64);
+}
+
+/**
+ * How many of the events at first, first + period, first + 2 period,
+ * ... (all of one kind, one thread) have a key below @p before.
+ */
+std::uint64_t
+eventsBelow(Tick first, Tick period, bool is_resume, ThreadId tid,
+            unsigned __int128 before)
+{
+    const Tick time = keyTime(before);
+    if (time < first)
+        return 0;
+    const Tick since = time - first;
+    std::uint64_t n = since / period + 1;
+    if (since % period == 0 && pickKey(time, is_resume, tid) > before)
+        --n;
+    return n;
+}
+
 } // namespace
 
 Scheduler::Scheduler(MemoryBackend *backend, int num_cores,
@@ -34,6 +58,7 @@ Scheduler::Scheduler(MemoryBackend *backend, int num_cores,
     fatal_if(!backend, "scheduler needs a memory backend");
     cores_.resize(static_cast<std::size_t>(num_cores));
     occupied_.reserve(cores_.size());
+    parked_.reserve(cores_.size());
     tree_.assign(2 * cores_.size(), ~PickKey{0});
 }
 
@@ -55,6 +80,14 @@ Scheduler::spawn(const std::string &name, CoreId core, ProcessId pid,
 
     SimThread *t = threads_.back().get();
     auto &cs = cores_[static_cast<std::size_t>(core)];
+    // A parked poller stops being alone: restore it first, as of the
+    // resume that is spawning.
+    for (std::size_t i = 0; i < parked_.size(); ++i) {
+        if (parked_[i].thread->core() == core) {
+            unpark(i, lastKey_);
+            break;
+        }
+    }
     t->nextOnCore = cs.threads;
     cs.threads = t;
     ++cs.unfinished;
@@ -161,6 +194,7 @@ Scheduler::resume(SimThread &t)
 {
     globalNow_ = std::max(globalNow_, t.now);
     t.resumePending = false;
+    t.watch = nullptr;
     panic_if(!t.current, "thread ", t.name(),
              " has no coroutine frame to resume");
     t.current.resume();
@@ -191,7 +225,10 @@ Scheduler::execute(SimThread &t)
     auto &core = cores_[static_cast<std::size_t>(t.core())];
     if (t.pending.kind == MemOp::Kind::sleep) {
         // Sleeping releases the core: no occupancy, no switch cost.
+        // It starts at the thread's clock, which may be below its
+        // key's time.
         const Tick start = t.now;
+        foldParked();
         globalNow_ = std::max(globalNow_, start);
         t.lastLatency = t.pending.cycles;
         t.now = start + t.pending.cycles;
@@ -213,6 +250,8 @@ Scheduler::execute(SimThread &t)
     if (core.lastThread != t.id()) {
         if (core.lastThread != invalidThread && trace_ &&
             trace_->enabled<TraceCategory::sched>()) {
+            // Subscribers see the clock of the previous event.
+            foldParked();
             trace_->publish(TraceEvent{
                 TraceEventType::schedSwitch, TraceCategory::sched,
                 t.core(), start, 0,
@@ -276,16 +315,110 @@ Scheduler::execute(SimThread &t)
     refresh(core);
 }
 
+void
+Scheduler::rearm(SimThread &t)
+{
+    // The completed spin's latency is the spinWhile's step.
+    globalNow_ = std::max(globalNow_, t.now);
+    t.resumePending = false;
+    t.pending = MemOp{MemOp::Kind::spin, 0, t.lastLatency};
+    refresh(coreOf(t));
+}
+
+void
+Scheduler::park(SimThread &t)
+{
+    // Alone on its core, the poller's core was last used by itself
+    // and is free from t.now on, and no quantum or switch rule
+    // applies: its next polls are issues at t.now + jP and resumes
+    // at t.now + (j+1)P. With no pending op it holds no tree key.
+    globalNow_ = std::max(globalNow_, t.now);
+    t.resumePending = false;
+    t.pending = MemOp{};
+    parked_.push_back({&t, t.now});
+    horizon_ = std::min(horizon_, horizonOf(parked_.back()));
+    refresh(coreOf(t));
+}
+
+void
+Scheduler::unpark(std::size_t i, PickKey before)
+{
+    const Parked p = parked_[i];
+    parked_[i] = parked_.back();
+    parked_.pop_back();
+    SimThread &t = *p.thread;
+    const Tick period = t.lastLatency;
+    const std::uint64_t issues =
+        eventsBelow(p.since, period, false, t.id(), before);
+    const std::uint64_t resumes =
+        eventsBelow(p.since + period, period, true, t.id(), before);
+    t.now = p.since + issues * period;
+    t.opsExecuted += issues;
+    t.resumePending = resumes < issues;
+    if (!t.resumePending)
+        t.pending = MemOp{MemOp::Kind::spin, 0, period};
+    CoreState &core = coreOf(t);
+    core.freeAt = t.now;
+    refresh(core);
+    horizon_ = ~PickKey{0};
+    for (const Parked &q : parked_)
+        horizon_ = std::min(horizon_, horizonOf(q));
+}
+
+void
+Scheduler::unparkAll(PickKey before)
+{
+    while (!parked_.empty())
+        unpark(parked_.size() - 1, before);
+}
+
+void
+Scheduler::wake(PickKey before)
+{
+    for (std::size_t i = 0; i < parked_.size();) {
+        if (rearms(*parked_[i].thread))
+            ++i;
+        else
+            unpark(i, before);
+    }
+}
+
+void
+Scheduler::foldParked()
+{
+    for (const Parked &p : parked_) {
+        const Tick period = p.thread->lastLatency;
+        const std::uint64_t resumes = eventsBelow(
+            p.since + period, period, true, p.thread->id(), lastKey_);
+        globalNow_ = std::max(globalNow_, p.since + resumes * period);
+    }
+}
+
+Scheduler::PickKey
+Scheduler::horizonOf(const Parked &p) const
+{
+    // A poller parks only below until_ (see run()), so this is the
+    // resume on the first poll boundary at or past until_ (it
+    // sorts before that boundary's issue).
+    const Tick period = p.thread->lastLatency;
+    const Tick polls = (until_ - p.since - 1) / period + 1;
+    if (polls > (maxTick - p.since) / period)
+        return ~PickKey{0};
+    return pickKey(p.since + polls * period, true, p.thread->id());
+}
+
 bool
 Scheduler::stepOne()
 {
     SimThread *t = pickNext();
     if (!t)
         return false;
-    if (t->resumePending)
-        resume(*t);
-    else
+    if (!t->resumePending)
         execute(*t);
+    else if (rearms(*t))
+        rearm(*t);
+    else
+        resume(*t);
     return true;
 }
 
@@ -296,18 +429,46 @@ Scheduler::run(Tick until, const std::function<bool()> &stop_when)
     // a predicate that reads coroutine-written state.
     if (stop_when && stop_when())
         return;
-    while (globalNow_ < until) {
-        SimThread *t = pickNext();
-        if (!t)
-            return;
-        if (!t->resumePending) {
-            execute(*t);
-        } else {
-            resume(*t);
-            if (stop_when && stop_when())
+    until_ = until;
+    try {
+        while (globalNow_ < until) {
+            const PickKey key = tree_[1];
+            if (key > horizon_) {
+                // A parked poller's implied event comes first, and it
+                // is the first event at or past until.
+                globalNow_ = std::max(globalNow_, keyTime(horizon_));
+                unparkAll(horizon_ + 1);
                 return;
+            }
+            SimThread *t = pickNext();
+            if (!t) {
+                panic_if(!parked_.empty(),
+                         "only parked pollers are left and run() has "
+                         "no until: it would never return");
+                return;
+            }
+            lastKey_ = key;
+            if (!t->resumePending) {
+                execute(*t);
+            } else if (rearms(*t)) {
+                // At or past until, this is the last event anyway.
+                if (coreOf(*t).unfinished == 1 && t->now < until)
+                    park(*t);
+                else
+                    rearm(*t);
+            } else {
+                resume(*t);
+                if (!parked_.empty())
+                    wake(key);
+                if (stop_when && stop_when())
+                    break;
+            }
         }
+    } catch (...) {
+        unparkAll(lastKey_);
+        throw;
     }
+    unparkAll(lastKey_);
 }
 
 void

@@ -76,9 +76,21 @@ class Scheduler
      * Stops when all threads finished, when the global clock passes
      * @p until, or when @p stop_when returns true. The predicate is
      * checked on entry and after every coroutine resume, not after
-     * op issues, which run no simulated code: it may read only
-     * state that coroutines write (a thread's `finished` flag,
-     * variables set by thread bodies), never the scheduler's clocks.
+     * op issues or spinWhile re-arms, which run no simulated code: it
+     * may read only state that coroutines write (a thread's
+     * `finished` flag, variables set by thread bodies), never the
+     * scheduler's clocks.
+     *
+     * A spinWhile poller alone on its core is parked for as long as
+     * its byte holds: its polls are implied, not stepped, and its
+     * clock, op count and core are brought up to date when it
+     * unparks. The watched byte must therefore be written only by
+     * coroutine code (like the predicate's inputs), and other code
+     * may read a thread's clock or its core's state only between
+     * runs, or from the thread itself. Every return, including an
+     * exception, leaves every thread exactly where stepping each
+     * poll would have left it. Spawning onto a parked poller's core
+     * is allowed from coroutine code.
      */
     void run(Tick until = maxTick,
              const std::function<bool()> &stop_when = {});
@@ -137,6 +149,21 @@ class Scheduler
         std::size_t leaf = 0;
     };
 
+    /** A spinWhile poller parked alone on its core (see run()). */
+    struct Parked
+    {
+        SimThread *thread;
+        /** Parked at its re-arm at this tick: its implied events are
+         *  issues at since + jP and resumes at since + (j+1)P, j >= 0,
+         *  for its spin of P cycles. */
+        Tick since;
+    };
+
+    CoreState &coreOf(const SimThread &t)
+    {
+        return cores_[static_cast<std::size_t>(t.core())];
+    }
+
     /** Earliest tick at which @p t's pending op could start. */
     Tick effectiveStart(const SimThread &t) const;
 
@@ -151,6 +178,44 @@ class Scheduler
 
     /** Resume @p t's coroutine at its op's completion time. */
     void resume(SimThread &t);
+
+    /** True when @p t's completed op is a spinWhile whose byte still
+     *  holds its value. */
+    static bool
+    rearms(const SimThread &t)
+    {
+        return t.watch && *t.watch == t.watchValue;
+    }
+
+    /** Arm @p t's spinWhile step again at its completion time. */
+    void rearm(SimThread &t);
+
+    /** Re-arm @p t, alone on its core, and take it out of the tree. */
+    void park(SimThread &t);
+
+    /**
+     * Unpark parked_[@p i] in the state it would have after every
+     * implied event whose key is below @p before, put its next event
+     * back in the tree and re-derive horizon_.
+     */
+    void unpark(std::size_t i, PickKey before);
+
+    /** Unpark every parked poller (see unpark()). */
+    void unparkAll(PickKey before);
+
+    /** Unpark the pollers whose byte changed (see unpark()). */
+    void wake(PickKey before);
+
+    /**
+     * Raise the global clock to the last implied event below
+     * lastKey_, as stepping would have, for the two places where it
+     * may lag the running event's key: a sleep (it starts at its
+     * thread's clock) and a switch publish (before the clock moves).
+     */
+    void foldParked();
+
+    /** First implied event of @p p at or past until_, or ~0. */
+    PickKey horizonOf(const Parked &p) const;
 
     /** Smallest pick key among @p core's threads. */
     PickKey bestOf(const CoreState &core) const;
@@ -174,6 +239,14 @@ class Scheduler
      * Sized for every core up front so spawn never allocates.
      */
     std::vector<PickKey> tree_;
+    /** Parked pollers, at most one per core; empty outside run(). */
+    std::vector<Parked> parked_;
+    /** Smallest horizonOf() over parked_; ~0 while none is parked. */
+    PickKey horizon_ = ~PickKey{0};
+    /** The running run()'s @p until. */
+    Tick until_ = maxTick;
+    /** Key of the event run() processes or processed last. */
+    PickKey lastKey_ = 0;
     Tick globalNow_ = 0;
     TraceBus *trace_ = nullptr;
 };

@@ -77,6 +77,15 @@ class SimThread
     bool resumePending = false;
     /** Set once the top-level coroutine has completed. */
     bool finished = false;
+    /** Byte value the pending spinWhile repeats on (see @ref watch). */
+    unsigned char watchValue = 0;
+    /**
+     * Byte a pending ThreadApi::spinWhile watches: when its spin
+     * completes and `*watch == watchValue`, the scheduler arms the
+     * same spin again instead of resuming the coroutine. nullptr for
+     * every other op.
+     */
+    const unsigned char *watch = nullptr;
     /** Operations executed, for stats. */
     std::uint64_t opsExecuted = 0;
     /**

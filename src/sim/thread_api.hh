@@ -11,8 +11,11 @@
 #ifndef COHERSIM_SIM_THREAD_API_HH
 #define COHERSIM_SIM_THREAD_API_HH
 
+#include <bit>
 #include <coroutine>
+#include <type_traits>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 #include "sim/thread.hh"
 
@@ -36,6 +39,25 @@ struct OpAwaiter
     }
     /** @return latency of the operation in cycles. */
     Tick await_resume() const noexcept { return thread->lastLatency; }
+};
+
+/** Awaiter that parks a spinWhile: a spin plus the byte it watches. */
+struct SpinWhileAwaiter
+{
+    SimThread *thread;
+    Tick cycles;
+    const unsigned char *word;
+    unsigned char value;
+
+    bool await_ready() const noexcept { return false; }
+    void
+    await_suspend(std::coroutine_handle<>) noexcept
+    {
+        thread->pending = MemOp{MemOp::Kind::spin, 0, cycles};
+        thread->watch = word;
+        thread->watchValue = value;
+    }
+    void await_resume() const noexcept {}
 };
 
 /**
@@ -84,6 +106,27 @@ class ThreadApi
     spinUntil(Tick tick) const
     {
         return {thread_, MemOp{MemOp::Kind::spinUntil, 0, tick}};
+    }
+
+    /**
+     * Busy-wait in steps of @p cycles while the byte at @p word holds
+     * @p value, checked after each step (so at least one step). The
+     * same ops, clocks and trace as
+     * `do co_await spin(cycles); while (*word == value);`, but the
+     * scheduler checks the byte itself instead of resuming the
+     * coroutine, and fast-forwards a thread alone on its core. Only
+     * coroutine code may write the byte (see Scheduler::run).
+     */
+    template <typename T>
+    SpinWhileAwaiter
+    spinWhile(const T *word, T value, Tick cycles) const
+    {
+        static_assert(sizeof(T) == 1 && std::is_trivially_copyable_v<T>,
+                      "spinWhile watches a single byte");
+        fatal_if(cycles == 0, "spinWhile needs a non-zero step");
+        return {thread_, cycles,
+                reinterpret_cast<const unsigned char *>(word),
+                std::bit_cast<unsigned char>(value)};
     }
 
     /**

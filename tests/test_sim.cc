@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the simulation engine: coroutine tasks, the
- * virtual-time scheduler, core sharing and the sync primitives.
+ * virtual-time scheduler, core sharing, spinWhile pollers and the
+ * sync primitives.
  */
 
 #include <gtest/gtest.h>
@@ -647,7 +648,8 @@ TEST(PinnedSchedule, RandomMixesMatchRecordedDigests)
  * threads share the cores. The op log, the sched.* trace, every
  * thread's end clock and sched.now() after each run() return are
  * hashed against digests recorded with the pollers written as plain
- * `while (*w == v) co_await spin(P)` loops.
+ * `while (*w == v) co_await spin(P)` loops; the same pollers written
+ * with ThreadApi::spinWhile must reproduce them.
  */
 struct PollCtl
 {
@@ -705,9 +707,17 @@ struct PollScenario
     std::vector<Tick> untils;
 };
 
+/** How the pollers wait: a plain spin loop or spinWhile. */
+enum class PollForm
+{
+    loop,
+    spinWhile,
+};
+
 /** State the bodies of one scenario share. */
 struct PollWorld
 {
+    PollForm form = PollForm::loop;
     std::vector<PollCtl> ctls;
     bool flag = false;
     /** Coroutine wake-ups of the pollers while idle. */
@@ -727,6 +737,12 @@ pollerBody(ThreadApi api, PollWorld *world, int ctl, Tick poll)
             co_await api.spin(poll / 3);
             break;
           case PollCtl::Mode::idle:
+            if (world->form == PollForm::spinWhile) {
+                ++world->idleWakes;
+                co_await api.spinWhile(&c.mode, PollCtl::Mode::idle,
+                                       poll);
+                break;
+            }
             while (c.mode == PollCtl::Mode::idle) {
                 ++world->idleWakes;
                 co_await api.spin(poll);
@@ -771,7 +787,7 @@ writerBody(ThreadApi api, PollWorld *world,
 }
 
 std::uint64_t
-pollDigest(const PollScenario &s)
+pollDigest(const PollScenario &s, PollForm form)
 {
     RecordingBackend be;
     TraceBus bus;
@@ -789,6 +805,7 @@ pollDigest(const PollScenario &s)
                       seen.push_back(sched.now());
                   });
     PollWorld world;
+    world.form = form;
     world.ctls.resize(static_cast<std::size_t>(s.ctls));
     MixState mix;
     mix.cores = s.cores;
@@ -1064,9 +1081,52 @@ TEST(PinnedPoll, ScriptedAndRandomMixesMatchRecordedDigests)
     };
     const std::vector<PollScenario> scenarios = pollScenarios();
     ASSERT_EQ(scenarios.size(), std::size(digests));
-    for (std::size_t i = 0; i < scenarios.size(); ++i)
-        EXPECT_EQ(pollDigest(scenarios[i]), digests[i])
+    for (std::size_t i = 0; i < scenarios.size(); ++i) {
+        EXPECT_EQ(pollDigest(scenarios[i], PollForm::loop), digests[i])
             << "scenario " << i;
+        EXPECT_EQ(pollDigest(scenarios[i], PollForm::spinWhile),
+                  digests[i])
+            << "scenario " << i << " with spinWhile";
+    }
+}
+
+TEST(PinnedPoll, LonePollerIsFastForwarded)
+{
+    // One spinWhile poller alone on core 0 for 1000 polls while a
+    // writer on core 1 waits, peeks at the poller and stops it.
+    RecordingBackend be;
+    Scheduler sched(&be, 2);
+    PollWorld world;
+    world.form = PollForm::spinWhile;
+    world.ctls.resize(1);
+    PollWorld *w = &world;
+    SimThread *poller = sched.spawn("poller", 0, 0, [w](ThreadApi api) {
+        return pollerBody(api, w, 0, 80);
+    });
+    Tick seen = 0;
+    sched.spawn("writer", 1, 0, [&](ThreadApi api) -> Task {
+        co_await api.spinUntil(40'000);
+        seen = poller->now;
+        co_await api.spinUntil(80'000);
+        w->ctls[0].mode = PollCtl::Mode::stop;
+    });
+    sched.run(60'010);
+    // run(until) ends on the implied poll resume at 60'080, with the
+    // poller at that resume.
+    EXPECT_EQ(sched.now(), 60'080u);
+    EXPECT_EQ(poller->now, 60'080u);
+    EXPECT_EQ(poller->opsExecuted, 1u + 751u);
+    sched.run();
+    EXPECT_TRUE(poller->finished);
+    // The stop lands on a poll boundary after the writer (id 1) ...
+    EXPECT_EQ(poller->now, 80'080u);
+    EXPECT_EQ(poller->opsExecuted, 1u + 1'001u);
+    // ... and the body woke once for all 1001 polls: spinWhile
+    // re-arms without resuming the coroutine.
+    EXPECT_EQ(world.idleWakes, 1u);
+    // It parked at its first re-arm (tick 80), and its clock was not
+    // stepped while the writer looked.
+    EXPECT_EQ(seen, 80u);
 }
 
 TEST(SchedulerConstruction, RejectsBadArguments)
