@@ -31,7 +31,6 @@
 // Execution engine.
 #include "sim/memory_backend.hh"
 #include "sim/scheduler.hh"
-#include "sim/sync.hh"
 #include "sim/task.hh"
 #include "sim/thread.hh"
 #include "sim/thread_api.hh"

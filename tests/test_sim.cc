@@ -1,8 +1,7 @@
 /**
  * @file
  * Unit tests for the simulation engine: coroutine tasks, the
- * virtual-time scheduler, core sharing, spinWhile pollers and the
- * sync primitives.
+ * virtual-time scheduler, core sharing and spinWhile pollers.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +17,6 @@
 #include "common/random.hh"
 #include "sim/memory_backend.hh"
 #include "sim/scheduler.hh"
-#include "sim/sync.hh"
 
 namespace csim
 {
@@ -1134,67 +1132,6 @@ TEST(SchedulerConstruction, RejectsBadArguments)
     RecordingBackend be;
     EXPECT_THROW(Scheduler(nullptr, 1), std::runtime_error);
     EXPECT_THROW(Scheduler(&be, 0), std::runtime_error);
-}
-
-TEST(Mailbox, PostAndTakeFifo)
-{
-    Mailbox<int> box;
-    EXPECT_TRUE(box.empty());
-    EXPECT_FALSE(box.tryTake().has_value());
-    box.post(1);
-    box.post(2);
-    EXPECT_EQ(box.size(), 2u);
-    EXPECT_EQ(box.tryTake().value(), 1);
-    EXPECT_EQ(box.tryTake().value(), 2);
-    EXPECT_TRUE(box.empty());
-}
-
-TEST(AckCounterTest, Bumps)
-{
-    AckCounter c;
-    EXPECT_EQ(c.value(), 0u);
-    c.bump();
-    c.bump();
-    EXPECT_EQ(c.value(), 2u);
-}
-
-TEST(SpinBarrierTest, ReleasesWhenAllArrive)
-{
-    SpinBarrier barrier(2);
-    const auto g0 = barrier.arrive();
-    EXPECT_FALSE(barrier.passed(g0));
-    const auto g1 = barrier.arrive();
-    EXPECT_EQ(g0, g1);
-    EXPECT_TRUE(barrier.passed(g0));
-}
-
-TEST(SyncCoroutines, PollUntilAndBarrierWait)
-{
-    RecordingBackend be;
-    Scheduler sched(&be, 2);
-    SpinBarrier barrier(2);
-    bool flag = false;
-    Tick a_done = 0, b_done = 0;
-    SimThread *a =
-        sched.spawn("a", 0, 0, [&](ThreadApi api) -> Task {
-            co_await barrierWait(api, barrier, 50);
-            a_done = api.now();
-            co_await pollUntil(api, [&] { return flag; }, 50);
-        });
-    sched.spawn("b", 1, 0, [&](ThreadApi api) -> Task {
-        co_await api.spin(1'000);
-        co_await barrierWait(api, barrier, 50);
-        b_done = api.now();
-        co_await api.spin(2'000);
-        flag = true;
-    });
-    sched.run();
-    EXPECT_TRUE(a->finished);
-    // a waited at the barrier until b arrived (~tick 1000).
-    EXPECT_GE(a_done, 1'000u);
-    EXPECT_LE(a_done - std::min(a_done, b_done), 100u);
-    // a then waited for the flag set at ~tick 3000.
-    EXPECT_GE(a->now, 3'000u);
 }
 
 } // namespace
