@@ -5,10 +5,10 @@
  *
  * Each kernel drives one hot path of `MemorySystem` in a steady state
  * (L1 hit, LLC serve, cross-socket forward, flush+reload round,
- * directory churn), one end-to-end run of the `fig08-sweep` preset
- * and the scheduler's pick/resume loop with 4 and 48 spinning
- * threads, and reports host ops/sec alongside the mean *virtual*
- * cycles per op. The results land in `BENCH_perf.json`.
+ * directory churn), one end-to-end run of the `fig08-sweep` preset,
+ * the scheduler's pick/resume loop with 4 and 48 spinning threads
+ * and its fast-forward of idle spinWhile pollers, and reports host
+ * ops/sec alongside the mean *virtual* cycles per op. The results land in `BENCH_perf.json`.
  *
  * Host throughput is machine-dependent, so the suite also times a
  * pure-arithmetic `host_ref` kernel that never touches the simulator.
@@ -349,6 +349,84 @@ kernelSchedSpin(int threads, int reps, double min_seconds)
         });
 }
 
+/** Control byte of the idle-poll kernel's pollers. */
+enum class PollMode : std::uint8_t
+{
+    idle,
+    poke,
+    stop,
+};
+
+/** Wait on @p mode, acknowledging every poke, until told to stop. */
+Task
+idlePoller(ThreadApi api, PollMode *mode, Tick poll,
+           std::uint64_t *acks)
+{
+    for (;;) {
+        co_await api.spinWhile(mode, PollMode::idle, poll);
+        if (*mode == PollMode::stop)
+            co_return;
+        *mode = PollMode::idle;
+        ++*acks;
+    }
+}
+
+/**
+ * Four spinWhile pollers, each alone on its core, and one writer on
+ * a fifth core that pokes every poller each `gap` cycles and stops
+ * them after `rounds` pokes: the scheduler's fast-forward of parked
+ * pollers, as the channel's idle placer loaders use it. One op = one
+ * poll. The writer has the highest thread id, so a poke at a poll
+ * boundary is seen one poll later: every poller must end at exactly
+ * (rounds + 1) x gap + poll, with one acknowledgement per poke.
+ */
+KernelResult
+kernelSchedIdlePoll(int reps, double min_seconds)
+{
+    static constexpr int pollers = 4;
+    static constexpr Tick poll = 80;
+    static constexpr Tick gap = 1'000 * poll;
+    static constexpr std::uint64_t rounds = 200;
+    static constexpr Tick end = (rounds + 1) * gap + poll;
+    NoMemory backend;
+    return measureKernel(
+        "sched_idle_poll", reps, min_seconds,
+        [&backend](std::uint64_t &ops, std::uint64_t &vcycles) {
+            Scheduler sched(&backend, pollers + 1);
+            PollMode modes[pollers] = {};
+            std::uint64_t acks[pollers] = {};
+            for (int k = 0; k < pollers; ++k) {
+                sched.spawn("poller", k, 0,
+                            [m = &modes[k], a = &acks[k]](ThreadApi api) {
+                                return idlePoller(api, m, poll, a);
+                            });
+            }
+            sched.spawn("writer", pollers, 0,
+                        [&modes](ThreadApi api) -> Task {
+                            for (std::uint64_t r = 1; r <= rounds + 1;
+                                 ++r) {
+                                co_await api.spinUntil(r * gap);
+                                for (PollMode &m : modes) {
+                                    m = r <= rounds ? PollMode::poke
+                                                    : PollMode::stop;
+                                }
+                            }
+                        });
+            sched.run();
+            for (int k = 0; k < pollers; ++k) {
+                const SimThread &t = *sched.threads()[k];
+                fatal_if(!t.finished || t.now != end ||
+                             acks[k] != rounds,
+                         "sched_idle_poll: poller ", k, " ended at "
+                         "cycle ", t.now, " after ", acks[k],
+                         " pokes, expected ", end, " after ", rounds);
+            }
+            const auto n = pollers * (end / poll);
+            ops += n;
+            vcycles += n * poll;
+        });
+}
+
 /**
  * Per-kernel self-profile: re-run each mem kernel briefly off then
  * on and report the sampled span breakdown plus the
@@ -558,6 +636,7 @@ main(int argc, char **argv)
     results.push_back(kernelFig08EndToEnd());
     results.push_back(kernelSchedSpin(4, reps, min_seconds));
     results.push_back(kernelSchedSpin(48, reps, min_seconds));
+    results.push_back(kernelSchedIdlePoll(reps, min_seconds));
 
     TablePrinter table;
     table.row({"kernel", "ops/sec", "ns/op", "virt cycles/op"});
