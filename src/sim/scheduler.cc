@@ -10,12 +10,6 @@ namespace csim
 namespace
 {
 
-/** Above every key that may run: only an issue at maxTick or an idle
- *  core sorts here, and neither is ever picked. */
-constexpr unsigned __int128 noPick =
-    static_cast<unsigned __int128>(maxTick) << 64 |
-    static_cast<unsigned __int128>(1) << 32;
-
 unsigned __int128
 pickKey(Tick time, bool is_resume, ThreadId tid)
 {
@@ -174,6 +168,13 @@ Scheduler::pickNext()
     const PickKey root = tree_[1];
     if (root < noPick)
         return threads_[static_cast<std::uint32_t>(root)].get();
+    checkIdle();
+    return nullptr;
+}
+
+void
+Scheduler::checkIdle() const
+{
     // A thread sits out its expired quantum only while another
     // unfinished thread is pinned to its core. That thread is a
     // resume or issue candidate itself and is never the one sitting
@@ -186,7 +187,9 @@ Scheduler::pickNext()
                           ->finished,
                  "scheduler idle while a yielding thread waits");
     }
-    return nullptr;
+    panic_if(!parked_.empty(),
+             "only parked pollers are left and run() has no until they "
+             "reach: it would never return");
 }
 
 void
@@ -194,7 +197,6 @@ Scheduler::resume(SimThread &t)
 {
     globalNow_ = std::max(globalNow_, t.now);
     t.resumePending = false;
-    t.watch = nullptr;
     panic_if(!t.current, "thread ", t.name(),
              " has no coroutine frame to resume");
     t.current.resume();
@@ -228,7 +230,7 @@ Scheduler::execute(SimThread &t)
         // It starts at the thread's clock, which may be below its
         // key's time.
         const Tick start = t.now;
-        foldParked();
+        foldParked(pickKey(effectiveStart(t), false, t.id()));
         globalNow_ = std::max(globalNow_, start);
         t.lastLatency = t.pending.cycles;
         t.now = start + t.pending.cycles;
@@ -251,7 +253,7 @@ Scheduler::execute(SimThread &t)
         if (core.lastThread != invalidThread && trace_ &&
             trace_->enabled<TraceCategory::sched>()) {
             // Subscribers see the clock of the previous event.
-            foldParked();
+            foldParked(pickKey(start, false, t.id()));
             trace_->publish(TraceEvent{
                 TraceEventType::schedSwitch, TraceCategory::sched,
                 t.core(), start, 0,
@@ -360,7 +362,7 @@ Scheduler::unpark(std::size_t i, PickKey before)
     CoreState &core = coreOf(t);
     core.freeAt = t.now;
     refresh(core);
-    horizon_ = ~PickKey{0};
+    horizon_ = noPick;
     for (const Parked &q : parked_)
         horizon_ = std::min(horizon_, horizonOf(q));
 }
@@ -376,7 +378,8 @@ void
 Scheduler::wake(PickKey before)
 {
     for (std::size_t i = 0; i < parked_.size();) {
-        if (rearms(*parked_[i].thread))
+        const SimThread &t = *parked_[i].thread;
+        if (*t.watch == t.watchValue)
             ++i;
         else
             unpark(i, before);
@@ -384,12 +387,12 @@ Scheduler::wake(PickKey before)
 }
 
 void
-Scheduler::foldParked()
+Scheduler::foldParked(PickKey before)
 {
     for (const Parked &p : parked_) {
         const Tick period = p.thread->lastLatency;
         const std::uint64_t resumes = eventsBelow(
-            p.since + period, period, true, p.thread->id(), lastKey_);
+            p.since + period, period, true, p.thread->id(), before);
         globalNow_ = std::max(globalNow_, p.since + resumes * period);
     }
 }
@@ -403,7 +406,7 @@ Scheduler::horizonOf(const Parked &p) const
     const Tick period = p.thread->lastLatency;
     const Tick polls = (until_ - p.since - 1) / period + 1;
     if (polls > (maxTick - p.since) / period)
-        return ~PickKey{0};
+        return noPick;
     return pickKey(p.since + polls * period, true, p.thread->id());
 }
 
@@ -415,7 +418,7 @@ Scheduler::stepOne()
         return false;
     if (!t->resumePending)
         execute(*t);
-    else if (rearms(*t))
+    else if (pollsAgain(*t))
         rearm(*t);
     else
         resume(*t);
@@ -430,34 +433,33 @@ Scheduler::run(Tick until, const std::function<bool()> &stop_when)
     if (stop_when && stop_when())
         return;
     until_ = until;
+    PickKey key = 0;
     try {
         while (globalNow_ < until) {
-            const PickKey key = tree_[1];
-            if (key > horizon_) {
+            key = tree_[1];
+            if (key >= horizon_) {
+                if (horizon_ == noPick) {
+                    checkIdle();
+                    return;
+                }
                 // A parked poller's implied event comes first, and it
                 // is the first event at or past until.
                 globalNow_ = std::max(globalNow_, keyTime(horizon_));
                 unparkAll(horizon_ + 1);
                 return;
             }
-            SimThread *t = pickNext();
-            if (!t) {
-                panic_if(!parked_.empty(),
-                         "only parked pollers are left and run() has "
-                         "no until: it would never return");
-                return;
-            }
-            lastKey_ = key;
-            if (!t->resumePending) {
-                execute(*t);
-            } else if (rearms(*t)) {
+            SimThread &t = *threads_[static_cast<std::uint32_t>(key)];
+            if (!t.resumePending) {
+                execute(t);
+            } else if (pollsAgain(t)) {
                 // At or past until, this is the last event anyway.
-                if (coreOf(*t).unfinished == 1 && t->now < until)
-                    park(*t);
+                if (coreOf(t).unfinished == 1 && t.now < until)
+                    park(t);
                 else
-                    rearm(*t);
+                    rearm(t);
             } else {
-                resume(*t);
+                lastKey_ = key;
+                resume(t);
                 if (!parked_.empty())
                     wake(key);
                 if (stop_when && stop_when())
@@ -465,10 +467,10 @@ Scheduler::run(Tick until, const std::function<bool()> &stop_when)
             }
         }
     } catch (...) {
-        unparkAll(lastKey_);
+        unparkAll(key);
         throw;
     }
-    unparkAll(lastKey_);
+    unparkAll(key);
 }
 
 void

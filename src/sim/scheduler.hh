@@ -135,6 +135,11 @@ class Scheduler
      */
     using PickKey = unsigned __int128;
 
+    /** Above every key that may run: only an issue at maxTick or an
+     *  idle core sorts here, and neither is ever picked. */
+    static constexpr PickKey noPick =
+        static_cast<PickKey>(maxTick) << 64 | static_cast<PickKey>(1) << 32;
+
     struct CoreState
     {
         Tick freeAt = 0;          //!< core busy until this tick
@@ -170,6 +175,9 @@ class Scheduler
     /** Pick the next thread to execute, or nullptr if all idle. */
     SimThread *pickNext();
 
+    /** Panic if the machine idles with a thread still able to run. */
+    void checkIdle() const;
+
     /**
      * Execute the pending op of @p t (memory mutations apply at the
      * op's start time) and arm its resume at the completion time.
@@ -179,12 +187,19 @@ class Scheduler
     /** Resume @p t's coroutine at its op's completion time. */
     void resume(SimThread &t);
 
-    /** True when @p t's completed op is a spinWhile whose byte still
-     *  holds its value. */
+    /**
+     * True when @p t's completed op is a spinWhile whose byte still
+     * holds its value; otherwise the watch is over and is cleared.
+     */
     static bool
-    rearms(const SimThread &t)
+    pollsAgain(SimThread &t)
     {
-        return t.watch && *t.watch == t.watchValue;
+        if (!t.watch)
+            return false;
+        if (*t.watch == t.watchValue)
+            return true;
+        t.watch = nullptr;
+        return false;
     }
 
     /** Arm @p t's spinWhile step again at its completion time. */
@@ -207,14 +222,14 @@ class Scheduler
     void wake(PickKey before);
 
     /**
-     * Raise the global clock to the last implied event below
-     * lastKey_, as stepping would have, for the two places where it
-     * may lag the running event's key: a sleep (it starts at its
+     * Raise the global clock to the last implied event below the
+     * running event's key @p before, as stepping would have, for the
+     * two places where it may lag that key: a sleep (it starts at its
      * thread's clock) and a switch publish (before the clock moves).
      */
-    void foldParked();
+    void foldParked(PickKey before);
 
-    /** First implied event of @p p at or past until_, or ~0. */
+    /** First implied event of @p p at or past until_, or noPick. */
     PickKey horizonOf(const Parked &p) const;
 
     /** Smallest pick key among @p core's threads. */
@@ -241,11 +256,12 @@ class Scheduler
     std::vector<PickKey> tree_;
     /** Parked pollers, at most one per core; empty outside run(). */
     std::vector<Parked> parked_;
-    /** Smallest horizonOf() over parked_; ~0 while none is parked. */
-    PickKey horizon_ = ~PickKey{0};
+    /** Smallest horizonOf() over parked_, at most noPick (also while
+     *  none is parked), so run() needs one compare for both. */
+    PickKey horizon_ = noPick;
     /** The running run()'s @p until. */
     Tick until_ = maxTick;
-    /** Key of the event run() processes or processed last. */
+    /** Key of the resume run() is running, for a spawn it makes. */
     PickKey lastKey_ = 0;
     Tick globalNow_ = 0;
     TraceBus *trace_ = nullptr;

@@ -41,7 +41,7 @@ struct OpAwaiter
     Tick await_resume() const noexcept { return thread->lastLatency; }
 };
 
-/** Awaiter that parks a spinWhile: a spin plus the byte it watches. */
+/** Awaiter that arms a spinWhile: a spin plus the byte it watches. */
 struct SpinWhileAwaiter
 {
     SimThread *thread;

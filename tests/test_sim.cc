@@ -1127,6 +1127,17 @@ TEST(PinnedPoll, LonePollerIsFastForwarded)
     EXPECT_EQ(seen, 80u);
 }
 
+TEST_F(SimTest, SpinWhileRejectsAZeroStep)
+{
+    // A zero step would poll forever without the clock moving.
+    Scheduler sched(&backend, 1);
+    const bool flag = true;
+    sched.spawn("t", 0, 0, [&flag](ThreadApi api) -> Task {
+        co_await api.spinWhile(&flag, true, 0);
+    });
+    EXPECT_THROW(sched.run(), std::runtime_error);
+}
+
 TEST(SchedulerConstruction, RejectsBadArguments)
 {
     RecordingBackend be;
