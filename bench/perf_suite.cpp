@@ -8,7 +8,8 @@
  * directory churn), one end-to-end run of the `fig08-sweep` preset,
  * the scheduler's pick/resume loop with 4 and 48 spinning threads
  * and its fast-forward of idle spinWhile pollers, and reports host
- * ops/sec alongside the mean *virtual* cycles per op. The results land in `BENCH_perf.json`.
+ * ops/sec alongside the mean *virtual* cycles per op. The results
+ * land in `BENCH_perf.json`.
  *
  * Host throughput is machine-dependent, so the suite also times a
  * pure-arithmetic `host_ref` kernel that never touches the simulator.
