@@ -162,16 +162,6 @@ Scheduler::occupy(CoreState &core)
         tree_[i] = std::min(tree_[2 * i], tree_[2 * i + 1]);
 }
 
-SimThread *
-Scheduler::pickNext()
-{
-    const PickKey root = tree_[1];
-    if (root < noPick)
-        return threads_[static_cast<std::uint32_t>(root)].get();
-    checkIdle();
-    return nullptr;
-}
-
 void
 Scheduler::checkIdle() const
 {
@@ -408,21 +398,6 @@ Scheduler::horizonOf(const Parked &p) const
     if (polls > (maxTick - p.since) / period)
         return noPick;
     return pickKey(p.since + polls * period, true, p.thread->id());
-}
-
-bool
-Scheduler::stepOne()
-{
-    SimThread *t = pickNext();
-    if (!t)
-        return false;
-    if (!t->resumePending)
-        execute(*t);
-    else if (pollsAgain(*t))
-        rearm(*t);
-    else
-        resume(*t);
-    return true;
 }
 
 void

@@ -99,9 +99,6 @@ class Scheduler
     void runUntilFinished(const SimThread *thread,
                           Tick until = maxTick);
 
-    /** Execute exactly one pending operation. @return false if idle. */
-    bool stepOne();
-
     /** Global clock: start time of the most recent operation. */
     Tick now() const { return globalNow_; }
 
@@ -171,9 +168,6 @@ class Scheduler
 
     /** Earliest tick at which @p t's pending op could start. */
     Tick effectiveStart(const SimThread &t) const;
-
-    /** Pick the next thread to execute, or nullptr if all idle. */
-    SimThread *pickNext();
 
     /** Panic if the machine idles with a thread still able to run. */
     void checkIdle() const;

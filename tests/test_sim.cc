@@ -398,13 +398,18 @@ TEST_F(SimTest, StopWhenPredicateStopsRun)
 TEST_F(SimTest, IdleSchedulerReportsNoWork)
 {
     Scheduler sched(&backend, 1);
-    EXPECT_FALSE(sched.stepOne());
+    sched.run();
+    EXPECT_TRUE(sched.allFinished());
+    EXPECT_EQ(sched.now(), 0u);
     sched.spawn("t", 0, 0, [](ThreadApi api) -> Task {
-        co_await api.spin(1);
+        co_await api.load(0);
     });
     sched.run();
     EXPECT_TRUE(sched.allFinished());
-    EXPECT_FALSE(sched.stepOne());
+    const Tick done = sched.now();
+    sched.run();
+    EXPECT_EQ(sched.now(), done);
+    EXPECT_EQ(backend.ops.size(), 1u);
 }
 
 TEST_F(SimTest, InvalidCorePinningIsFatal)
