@@ -184,6 +184,148 @@ TEST(OpFuzz, RemapRekeySoak)
     fuzzRun(cfg, 1008, 10'000);
 }
 
+/**
+ * Pinned rekeys. A remap-mode machine rekeys every `period` ops
+ * while a seeded load/store/flush stream from both sockets keeps
+ * dirty and privately held lines resident, so every rekey drives
+ * back-invalidations and writebacks through the LLC victim path in
+ * the order the LLC walk visits its lines. The mem and coherence
+ * trace, every access result and, after each rekey, the counters
+ * are hashed against digests recorded from the full-array walk.
+ */
+struct PinnedRekeyCase
+{
+    Inclusivity inclusivity;
+    ReplPolicy replacement;
+    std::uint64_t seed;
+    std::uint64_t digest;
+};
+
+std::uint64_t
+fnv(std::uint64_t h, std::uint64_t v)
+{
+    for (int i = 0; i < 8; ++i) {
+        h ^= (v >> (8 * i)) & 0xff;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+std::uint64_t
+hashStats(std::uint64_t h, const MemStats &s)
+{
+    for (const std::uint64_t v :
+         {s.loads, s.stores, s.flushes, s.l1Hits, s.l2Hits,
+          s.localLlcServes, s.localOwnerForwards, s.remoteLlcServes,
+          s.remoteOwnerForwards, s.dramAccesses, s.writebacks,
+          s.backInvalidations, s.upgrades, s.queueWaitCycles})
+        h = fnv(h, v);
+    return h;
+}
+
+std::uint64_t
+rekeyDigest(const PinnedRekeyCase &pc)
+{
+    SystemConfig cfg = fuzzConfig();
+    cfg.inclusivity = pc.inclusivity;
+    cfg.replacement = pc.replacement;
+    cfg.llcIndex = IndexFn::remap;
+    constexpr int period = 250;
+    cfg.remapPeriod = period;
+    cfg.validate();
+    MemorySystem mem(cfg);
+
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    mem.trace().subscribe(
+        categoryBit(TraceCategory::mem) |
+            categoryBit(TraceCategory::coherence),
+        [&h](const TraceEvent &ev) {
+            h = fnv(h, static_cast<std::uint64_t>(ev.type));
+            h = fnv(h, static_cast<std::uint64_t>(ev.category));
+            h = fnv(h, static_cast<std::uint64_t>(ev.core));
+            h = fnv(h, ev.when);
+            h = fnv(h, ev.addr);
+            h = fnv(h, ev.a);
+            h = fnv(h, ev.b);
+        });
+
+    Rng rng(pc.seed);
+    const PAddr base = 0x4000'0000;
+    // Two cores per socket touch more lines than a private L2
+    // holds, so private victims write back into the LLC (or, in
+    // exclusive mode, fill it) and leave dirty lines there.
+    constexpr int poolLines = 160;
+    const CoreId cores[] = {cfg.coreOf(0, 0), cfg.coreOf(0, 1),
+                            cfg.coreOf(1, 0), cfg.coreOf(1, 1)};
+    Tick now = 0;
+    int rekeys = 0;
+    int rekeysWithDirtyAndPrivate = 0;
+    for (int i = 0; i < 24 * period; ++i) {
+        // What a rekey inside this op would evict: a dirty LLC line
+        // and a line some private cache holds.
+        bool dirty = false;
+        for (int s = 0; s < cfg.sockets; ++s) {
+            mem.llcOf(s).forEachLine([&dirty](const CacheLine &line) {
+                dirty = dirty || line.dirty;
+            });
+        }
+        bool held = false;
+        for (int l = 0; l < poolLines && !held; ++l) {
+            const LineSnapshot snap = mem.inspect(
+                base + static_cast<PAddr>(l) * lineBytes);
+            for (const Mesi m : snap.priv)
+                held = held || m != Mesi::invalid;
+        }
+        const std::uint64_t gen = mem.llcIndexGeneration();
+        const CoreId core = cores[rng.range(0, 3)];
+        const PAddr addr =
+            base + static_cast<PAddr>(rng.range(0, poolLines - 1)) *
+                       lineBytes;
+        now += 50;
+        const auto op = rng.range(0, 9);
+        AccessResult r;
+        if (op < 4)
+            r = mem.load(core, addr, now);
+        else if (op < 8)
+            r = mem.store(core, addr, now);
+        else
+            r = mem.flush(core, addr, now);
+        h = fnv(h, r.latency);
+        h = fnv(h, static_cast<std::uint64_t>(r.servedBy));
+        if (mem.llcIndexGeneration() != gen) {
+            ++rekeys;
+            if (dirty && held)
+                ++rekeysWithDirtyAndPrivate;
+            h = hashStats(h, mem.stats());
+            EXPECT_EQ(mem.checkInvariants(), "") << "op " << i;
+        }
+    }
+    EXPECT_GE(rekeys, 24);
+    // The first rekey may come before any private victim has filled
+    // an exclusive LLC; every later one must find both kinds.
+    EXPECT_GE(rekeysWithDirtyAndPrivate, rekeys - 1);
+    return hashStats(h, mem.stats());
+}
+
+TEST(PinnedRekey, RemapRekeysMatchRecordedDigests)
+{
+    const PinnedRekeyCase cases[] = {
+        {Inclusivity::inclusive, ReplPolicy::lru, 31,
+         548167080567260150ULL},
+        {Inclusivity::exclusive, ReplPolicy::lru, 32,
+         6736766899883214897ULL},
+        {Inclusivity::inclusive, ReplPolicy::srrip, 33,
+         1935155515652467166ULL},
+        {Inclusivity::exclusive, ReplPolicy::random, 34,
+         14659942136229279503ULL},
+    };
+    for (const PinnedRekeyCase &pc : cases) {
+        EXPECT_EQ(rekeyDigest(pc), pc.digest)
+            << inclusivityName(pc.inclusivity) << " "
+            << replPolicyName(pc.replacement);
+    }
+}
+
 // LineMap vs std::unordered_map as a reference model: random
 // insert/erase/lookup sequences over a small key pool (high
 // collision pressure) must agree at every step, including full
