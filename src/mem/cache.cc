@@ -1,5 +1,8 @@
 #include "mem/cache.hh"
 
+#include <algorithm>
+#include <bit>
+
 #include "common/logging.hh"
 
 namespace csim
@@ -29,7 +32,9 @@ Cache::Cache(std::string name, const CacheGeometry &geom,
       policy_(ReplacementPolicy::make(policy, geom.numSets(),
                                       geom.assoc, policy_seed)),
       indexFn_(std::move(index)),
-      mruWay_(geom.numSets(), 0)
+      mruWay_(geom.numSets(), 0),
+      setValid_(geom.numSets(), 0),
+      occupied_((geom.numSets() + 63) / 64, 0)
 {
     panic_if(numSets_ == 0, name_, ": zero sets");
     if ((numSets_ & (numSets_ - 1)) == 0) {
@@ -127,7 +132,12 @@ Cache::insert(PAddr line_addr, Mesi state, Victim *victim)
             break;
         }
     }
-    if (!slot) {
+    if (slot) {
+        ++valid_;
+        if (setValid_[set_idx]++ == 0)
+            occupied_[set_idx / 64] |= std::uint64_t{1}
+                                       << (set_idx % 64);
+    } else {
         if (policy_) {
             slot = &set[policy_->victimWay(set_idx)];
         } else {
@@ -163,14 +173,16 @@ bool
 Cache::invalidate(PAddr line_addr)
 {
     if (CacheLine *line = find(line_addr)) {
-        if (policy_) {
-            const auto idx =
-                static_cast<std::size_t>(line - lines_.data());
-            policy_->onInvalidate(
-                static_cast<unsigned>(idx / assoc_),
-                static_cast<unsigned>(idx % assoc_));
-        }
+        // 32-bit division: no cache has 2^32 slots, and this is the
+        // flush path.
+        const auto idx = static_cast<unsigned>(line - lines_.data());
+        const unsigned set = idx / assoc_;
+        if (policy_)
+            policy_->onInvalidate(set, idx - set * assoc_);
         *line = CacheLine{};
+        --valid_;
+        if (--setValid_[set] == 0)
+            occupied_[set / 64] &= ~(std::uint64_t{1} << (set % 64));
         return true;
     }
     return false;
@@ -181,6 +193,9 @@ Cache::clear()
 {
     for (auto &line : lines_)
         line = CacheLine{};
+    valid_ = 0;
+    std::fill(setValid_.begin(), setValid_.end(), 0);
+    std::fill(occupied_.begin(), occupied_.end(), 0);
     if (policy_)
         policy_->reset();
 }
@@ -189,21 +204,19 @@ void
 Cache::forEachLine(
     const std::function<void(const CacheLine &)> &fn) const
 {
-    for (const auto &line : lines_) {
-        if (line.valid())
-            fn(line);
+    for (std::size_t word = 0; word < occupied_.size(); ++word) {
+        for (std::uint64_t bits = occupied_[word]; bits;
+             bits &= bits - 1) {
+            const auto set = static_cast<unsigned>(
+                word * 64 +
+                static_cast<unsigned>(std::countr_zero(bits)));
+            const CacheLine *base = setBegin(set);
+            for (unsigned w = 0; w < assoc_; ++w) {
+                if (base[w].valid())
+                    fn(base[w]);
+            }
+        }
     }
-}
-
-std::size_t
-Cache::occupancy() const
-{
-    std::size_t n = 0;
-    for (const auto &line : lines_) {
-        if (line.valid())
-            ++n;
-    }
-    return n;
 }
 
 } // namespace csim

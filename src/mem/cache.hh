@@ -129,12 +129,22 @@ class Cache
     /** Invalidate every line (used by tests). */
     void clear();
 
-    /** Apply @p fn to every valid line. */
+    /**
+     * Apply @p fn to every valid line, in slot order: sets ascending,
+     * ways ascending within a set. Only occupied sets are visited, so
+     * a walk costs O(occupied sets + resident lines), not O(slots).
+     * Index invariant: a set's bit in `occupied_` is set exactly when
+     * its `setValid_` count is nonzero, and that count is the number
+     * of its valid ways. A slot turns valid or invalid only through
+     * insert(), invalidate() and clear(): a caller holding a line
+     * from find() may change its state, but never to invalid.
+     */
     void forEachLine(const std::function<void(const CacheLine &)> &fn)
         const;
 
-    /** Number of valid lines currently held. */
-    std::size_t occupancy() const;
+    /** Number of valid lines currently held: O(1), kept equal to the
+     *  sum of the per-set valid counts. */
+    std::size_t occupancy() const { return valid_; }
 
     const std::string &name() const { return name_; }
     unsigned numSets() const { return numSets_; }
@@ -193,6 +203,14 @@ class Cache
     mutable std::size_t lastIdx_ = 0;
     mutable PAddr lastAddr_ = ~PAddr(0);  //!< never a line address
     mutable std::vector<std::uint8_t> mruWay_;  //!< per set
+    /** @} */
+    /**
+     * @name Residency index (see forEachLine for the invariant)
+     * @{
+     */
+    std::size_t valid_ = 0;                 //!< valid lines in total
+    std::vector<std::uint16_t> setValid_;   //!< valid ways per set
+    std::vector<std::uint64_t> occupied_;   //!< bit per nonempty set
     /** @} */
 
     CacheLine *setBegin(unsigned set);

@@ -584,6 +584,8 @@ MemorySystem::setPrivateState(CoreId core, PAddr line, Mesi state)
     CacheLine *l2 = l2s_[idx]->find(line);
     panic_if(!l2, "setPrivateState: core ", core,
              " does not hold line ", line);
+    panic_if(state == Mesi::invalid,
+             "setPrivateState cannot invalidate; use invalidatePrivate");
     l2->state = state;
     if (CacheLine *l1 = l1s_[idx]->find(line))
         l1->state = state;

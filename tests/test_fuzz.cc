@@ -8,14 +8,17 @@
  * constantly. After every single step the full invariant checker
  * must stay silent. The grid suite repeats the run across every
  * replacement policy x inclusivity mode x LLC index function so the
- * pluggable-hierarchy seams face the same churn as the defaults. A
- * companion suite fuzzes LineMap against std::unordered_map as a
- * reference model.
+ * pluggable-hierarchy seams face the same churn as the defaults.
+ * Companion suites check a cache's residency index against a full
+ * scan and fuzz LineMap against std::unordered_map as a reference
+ * model.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -323,6 +326,123 @@ TEST(PinnedRekey, RemapRekeysMatchRecordedDigests)
         EXPECT_EQ(rekeyDigest(pc), pc.digest)
             << inclusivityName(pc.inclusivity) << " "
             << replPolicyName(pc.replacement);
+    }
+}
+
+/**
+ * Check a cache's residency index against a brute-force scan: the
+ * occupancy must equal the count of pool lines find() locates and the
+ * reference set's size, and forEachLine must visit every resident
+ * line once, in slot order (strictly ascending slot addresses, so
+ * sets ascending and ways ascending within a set).
+ */
+void
+expectIndexMatchesScan(const Cache &c, const std::set<PAddr> &ref,
+                       PAddr base, int pool_lines)
+{
+    std::size_t found = 0;
+    for (int l = 0; l < pool_lines; ++l) {
+        if (c.find(base + static_cast<PAddr>(l) * lineBytes))
+            ++found;
+    }
+    ASSERT_EQ(found, ref.size());
+    ASSERT_EQ(c.occupancy(), found);
+    std::vector<const CacheLine *> seen;
+    c.forEachLine([&seen](const CacheLine &line) {
+        seen.push_back(&line);
+    });
+    ASSERT_EQ(seen.size(), found);
+    for (std::size_t i = 0; i < seen.size(); ++i) {
+        ASSERT_TRUE(ref.count(seen[i]->addr)) << seen[i]->addr;
+        ASSERT_EQ(c.find(seen[i]->addr), seen[i]);
+        if (i > 0) {
+            ASSERT_LT(seen[i - 1], seen[i]);
+            ASSERT_LE(c.setIndex(seen[i - 1]->addr),
+                      c.setIndex(seen[i]->addr));
+        }
+    }
+}
+
+// Random insert/evict/invalidate/clear/rekey sequences over caches
+// with more than 64 sets (a multi-word occupied-set bitmap), under
+// the builtin LRU and a policy object, with power-of-two linear,
+// modulo linear and remap index functions. A rekey evicts through
+// forEachLine then installs a new key, as MemorySystem::rekeyNow
+// does.
+TEST(CacheFuzz, ResidencyIndexMatchesFullScan)
+{
+    struct Shape
+    {
+        unsigned sets;
+        IndexFn index;
+    };
+    const Shape shapes[] = {{128, IndexFn::linear},
+                            {96, IndexFn::linear},
+                            {96, IndexFn::remap}};
+    constexpr unsigned ways = 2;
+    constexpr int poolLines = 400;
+    const PAddr base = 0x10'0000;
+    std::uint64_t seed = 7000;
+    for (const Shape &shape : shapes) {
+        for (const ReplPolicy policy :
+             {ReplPolicy::lru, ReplPolicy::srrip}) {
+            SCOPED_TRACE(msgCat("sets=", shape.sets,
+                                " index=", indexFnName(shape.index),
+                                " repl=", replPolicyName(policy)));
+            std::unique_ptr<IndexFunction> fn;
+            if (shape.index != IndexFn::linear) {
+                fn = std::make_unique<IndexFunction>(shape.index,
+                                                     shape.sets, seed);
+            }
+            Cache c("c", CacheGeometry{shape.sets * ways * lineBytes,
+                                       ways},
+                    policy, seed, std::move(fn));
+            std::set<PAddr> ref;
+            Rng rng(seed++);
+            int evictions = 0;
+            int rekeys = 0;
+            for (int i = 0; i < 6'000; ++i) {
+                const PAddr addr =
+                    base + static_cast<PAddr>(
+                               rng.range(0, poolLines - 1)) *
+                               lineBytes;
+                const auto op = rng.range(0, 999);
+                if (op < 600) {
+                    if (CacheLine *line = c.find(addr)) {
+                        c.touch(*line);
+                    } else {
+                        Victim v;
+                        c.insert(addr, Mesi::shared, &v);
+                        if (v.valid) {
+                            ASSERT_EQ(ref.erase(v.line.addr), 1u);
+                            ++evictions;
+                        }
+                        ref.insert(addr);
+                    }
+                } else if (op < 995) {
+                    ASSERT_EQ(c.invalidate(addr), ref.erase(addr) > 0);
+                } else if (op < 997) {
+                    c.clear();
+                    ref.clear();
+                } else {
+                    std::vector<PAddr> resident;
+                    c.forEachLine([&resident](const CacheLine &line) {
+                        resident.push_back(line.addr);
+                    });
+                    for (const PAddr a : resident)
+                        ASSERT_TRUE(c.invalidate(a));
+                    ref.clear();
+                    if (c.indexFunction())
+                        c.indexFunction()->rekey(rng.next());
+                    ++rekeys;
+                }
+                expectIndexMatchesScan(c, ref, base, poolLines);
+                if (HasFatalFailure())
+                    return;
+            }
+            EXPECT_GT(evictions, 100);
+            EXPECT_GT(rekeys, 5);
+        }
     }
 }
 
