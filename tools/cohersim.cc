@@ -842,6 +842,23 @@ emitHealthArtifacts(const RunHealth &health,
     }
 }
 
+/**
+ * The report's observation settings. A report narrowed to fleet pair
+ * N (obs.pair) takes its latency bands from pair N's spy core unless
+ * obs.band_core was set explicitly: the built-in band core 0 is pair
+ * 1's spy.
+ */
+ObsConfig
+reportObs(const ConfigResolver &res)
+{
+    ObsConfig obs = res.spec().obs;
+    if (obs.pair >= 1 && res.provenance("obs.band_core") == "default") {
+        obs.bandCore =
+            fleetCorePlan(res.spec().channel.system, obs.pair - 1).spy;
+    }
+    return obs;
+}
+
 int
 cmdReport(const Args &args)
 {
@@ -898,7 +915,7 @@ cmdReport(const Args &args)
                  "restricting the channel category (check the "
                  "recorder's category mask / COHERSIM_TRACE_MASK)");
         }
-        RunHealth health = analyzeTrace(events, res.spec().obs);
+        RunHealth health = analyzeTrace(events, reportObs(res));
         // Surface the writer's drop accounting in the footer: the
         // replayed statistics undercount by exactly these events.
         if (drops.any()) {
@@ -917,7 +934,8 @@ cmdReport(const Args &args)
     const ConfigResolver res =
         args.resolve({{"payload.bits", "300"},
                       {"channel.timeout_margin", "20"}});
-    const ExperimentSpec &base = res.spec();
+    ExperimentSpec base = res.spec();
+    base.obs = reportObs(res);
     // Same payload derivation as the sweep (seed + 2), so a report
     // describes the same transmissions the sweep benches measure.
     Rng rng(base.channel.system.seed + 2);
